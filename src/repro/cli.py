@@ -522,7 +522,8 @@ def _cmd_bench(args) -> int:
     import numpy as np
 
     from .core.assemble import assemble_chunks
-    from .core.chunks import ChunkGrid, profile_chunks
+    from .core.chunks import ChunkGrid
+    from .core.executor import execute_chunk_grid
     from .core.planner import plan_grid
     from .device.kernels import fit_cost_model
     from .metrics.modelerror import model_error_report
@@ -561,13 +562,13 @@ def _cmd_bench(args) -> int:
             and the model-error report), then ``repeats - 1`` timing-only
             repeats — the workload statistics are deterministic, so only
             the wall clock needs re-measuring."""
-            profile, outputs = profile_chunks(
+            profile, outputs = execute_chunk_grid(
                 a, a, grid, keep_outputs=True, name=spec,
                 workers=workers, backend=backend, kernel=kernel,
             )
             times = [profile.measured_wall_seconds]
             for _ in range(repeats - 1):
-                rep, _none = profile_chunks(
+                rep, _none = execute_chunk_grid(
                     a, a, grid, keep_outputs=False, name=spec,
                     workers=workers, backend=backend, kernel=kernel,
                 )
@@ -660,7 +661,7 @@ def _cmd_bench(args) -> int:
                                           device_pool_bytes=device_pool),
                            tracer=gov_tracer)
             gov.attach_store(store)
-            gov_profile, _ = profile_chunks(
+            gov_profile, _ = execute_chunk_grid(
                 a, a, grid, keep_outputs=False, chunk_sink=store.put,
                 name=spec, workers=args.workers, backend=primary,
                 tracer=gov_tracer, governor=gov, kernel=args.kernel,
@@ -742,7 +743,7 @@ def _cmd_bench(args) -> int:
             # row-only ladder); one quick serial run per candidate picks
             # the winner by wall clock rather than by model
             def _trial(g, kspec):
-                p, _none = profile_chunks(
+                p, _none = execute_chunk_grid(
                     a, a, g, keep_outputs=False, name=spec,
                     workers=1, backend="serial", kernel=kspec.encode(),
                 )
@@ -815,7 +816,8 @@ def _cmd_bench(args) -> int:
                         backend=(args.backend if args.backend != "both"
                                  else None),
                         kernel=args.kernel,
-                        host_mem_budget_bytes=host_budget,
+                        governor=GovernorConfig(
+                            host_mem_budget_bytes=host_budget),
                         transport=getattr(args, "transport", "local"),
                     ),
                     grid=grid, name=spec,
@@ -1279,6 +1281,7 @@ def _cmd_shard_bench(args) -> int:
     import json
 
     from .core.chunks import ChunkGrid
+    from .core.governor import GovernorConfig
     from .distributed.shard import ShardConfig, ShardedRunError, run_sharded
     from .sparse import generators
 
@@ -1322,7 +1325,8 @@ def _cmd_shard_bench(args) -> int:
         for n in counts:
             cfg = ShardConfig(num_shards=n, workers=args.workers,
                               backend=args.backend,
-                              host_mem_budget_bytes=budget,
+                              governor=GovernorConfig(
+                                  host_mem_budget_bytes=budget),
                               transport=args.transport,
                               socket_kind=args.socket_kind)
             try:

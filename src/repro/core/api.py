@@ -23,9 +23,12 @@ from typing import Optional, Sequence, Union
 from ..device.kernels import CostModel, default_cost_model
 from ..device.specs import NodeSpec, v100_node
 from ..sparse.formats import CSRMatrix
+from ..spgemm.kernels import resolve_kernel
 from ..spgemm.twophase import spgemm_twophase
 from .assemble import assemble_chunks
-from .chunks import ChunkGrid, ChunkProfile, profile_chunks
+from .chunks import ChunkGrid, ChunkProfile, chunk_flops
+from .executor import ChunkPlan, execute_chunk_grid, plan_hybrid_lanes
+from .governor import as_governor
 from .hybrid import DEFAULT_RATIO, assign_chunks, build_hybrid_engine
 from .planner import plan_grid
 from .results import RunResult
@@ -33,7 +36,6 @@ from .schedule import CPU, build_async_schedule, build_sync_schedule, new_engine
 
 __all__ = [
     "spgemm",
-    "make_profile",
     "simulate_out_of_core",
     "simulate_hybrid",
     "simulate_cpu_baseline",
@@ -56,71 +58,6 @@ def spgemm(a: CSRMatrix, b: CSRMatrix, *, kernel=None) -> CSRMatrix:
     :mod:`repro.spgemm.kernels`) — the product is the same either way.
     """
     return spgemm_twophase(a, b, kernel=kernel).matrix
-
-
-def make_profile(
-    a: CSRMatrix,
-    b: CSRMatrix,
-    node: Optional[NodeSpec] = None,
-    *,
-    grid: Optional[ChunkGrid] = None,
-    keep_outputs: bool = False,
-    chunk_store=None,
-    name: str = "",
-    workers: int = 1,
-    window: Optional[int] = None,
-    tracer=None,
-    backend: Optional[str] = None,
-    retry=None,
-    crash_budget: int = 0,
-    faults=None,
-    manifest=None,
-    resume_stats=None,
-    governor=None,
-    kernel=None,
-):
-    """Plan the chunk grid (unless given) and execute/profile every chunk.
-
-    Returns ``(profile, outputs_or_None)``.  ``chunk_store`` streams the
-    chunks into a :mod:`repro.core.spill` store as they are produced.
-
-    ``workers`` > 1 executes the chunks concurrently through the chunk
-    execution engine (:mod:`repro.core.executor`) with a bounded
-    in-flight ``window``; results are bit-identical to serial execution
-    and the profile carries measured per-chunk and end-to-end wall times.
-    ``backend`` selects where the chunk kernels run: ``"serial"``,
-    ``"thread"``, or ``"process"`` (worker processes with shared-memory
-    operand transport — escapes the GIL); ``None`` keeps the legacy
-    resolution (serial when ``workers == 1``, else threads).
-
-    ``tracer`` (:mod:`repro.observability`) records every chunk's
-    lifecycle as spans; the default null tracer records nothing and adds
-    no overhead.
-
-    ``retry`` / ``crash_budget`` / ``faults`` configure fault tolerance,
-    ``manifest`` / ``resume_stats`` checkpoint/resume, ``governor`` the
-    runtime deadline / memory-pressure / integrity limits, ``kernel`` the
-    accumulator family every chunk runs with — see
-    :func:`repro.core.executor.execute_chunk_grid`.
-    """
-    from .governor import as_governor
-
-    node = _resolve_node(node)
-    if grid is None:
-        grid = plan_grid(a, b, node).grid
-    sink = chunk_store.put if chunk_store is not None else None
-    governor = as_governor(governor)
-    if governor is not None and chunk_store is not None:
-        # the store's held bytes join the host-memory ledger, and the
-        # governor may squeeze it (spill-under-pressure) when it can
-        governor.attach_store(chunk_store)
-    return profile_chunks(
-        a, b, grid, keep_outputs=keep_outputs, chunk_sink=sink, name=name,
-        workers=workers, window=window, tracer=tracer, backend=backend,
-        retry=retry, crash_budget=crash_budget, faults=faults,
-        manifest=manifest, resume_stats=resume_stats, governor=governor,
-        kernel=kernel,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -222,38 +159,6 @@ def simulate_cpu_baseline(
     )
 
 
-def _verify_resumed_chunks(manifest, store, resume_stats):
-    """The ``--resume`` integrity gate: re-read each checkpointed chunk
-    from the store and verify it against the manifest's CRC.  Returns
-    ``(verified_stats, dropped)`` — dropped chunks (corrupt, mismatched,
-    or missing) are evicted from the store so the executor recomputes
-    them; the recompute re-checkpoints with a fresh CRC."""
-    from .governor.integrity import ChunkCorruption, crc32_matrix
-
-    verified = {}
-    dropped = 0
-    for cid, stats in resume_stats.items():
-        rp, cp = stats.row_panel, stats.col_panel
-        try:
-            matrix = store.get(rp, cp)
-        except KeyError:
-            dropped += 1  # vanished from the store: recompute
-            continue
-        except ChunkCorruption:
-            store.discard(rp, cp)
-            dropped += 1
-            continue
-        expected = manifest.chunk_crc(cid)
-        if expected is not None and crc32_matrix(matrix) != expected:
-            # the store's copy parses but is not the chunk the manifest
-            # checkpointed (e.g. silently overwritten) — recompute
-            store.discard(rp, cp)
-            dropped += 1
-            continue
-        verified[cid] = stats
-    return verified, dropped
-
-
 # ----------------------------------------------------------------------
 # full runs: real kernels + simulation
 # ----------------------------------------------------------------------
@@ -295,7 +200,7 @@ def run_out_of_core(
     simulated timeline is unaffected); the product is bit-identical for
     any worker count and measured wall times land in ``result.profile``.
     ``backend`` selects the executor (``serial`` / ``thread`` /
-    ``process``); see :func:`make_profile`.
+    ``process``); see :func:`~repro.core.executor.execute_chunk_grid`.
 
     ``tracer`` (:mod:`repro.observability`) records the real execution's
     spans — queue wait, kernel phases, sink writes — for Chrome-trace
@@ -325,52 +230,30 @@ def run_out_of_core(
     with spill-under-pressure, and device-OOM re-splitting — see
     :mod:`repro.core.governor`.
     """
-    from .spill import RunManifest
+    from .spill import RunManifest, fill_skipped, open_checkpoint
 
     node = _resolve_node(node)
-    manifest = None
-    resume_stats = None
-    corrupt_recomputed = 0
-    if resume is not None:
-        manifest = (resume if isinstance(resume, RunManifest)
-                    else RunManifest.load(resume))
-        if grid is None:
-            grid = manifest.grid
-        manifest.validate(a, b, grid)
-        resume_stats = manifest.completed_stats()
-        if resume_stats and keep_output and chunk_store is None:
-            raise ValueError(
-                "resuming with keep_output=True requires the chunk_store "
-                "holding the previous run's chunks (e.g. a DiskChunkStore "
-                "over the original spill directory)"
-            )
-        if resume_stats and chunk_store is not None:
-            # integrity gate: re-read every checkpointed chunk, verify
-            # its CRC against the manifest, and evict anything corrupt
-            # or missing so it recomputes instead of poisoning the result
-            resume_stats, corrupt_recomputed = _verify_resumed_chunks(
-                manifest, chunk_store, resume_stats
-            )
-    elif checkpoint is not None:
-        if grid is None:
-            grid = plan_grid(a, b, node).grid
-        store_dir = getattr(chunk_store, "directory", None)
-        manifest = RunManifest.create(checkpoint, a, b, grid,
-                                      store_dir=store_dir)
-    profile, outputs = make_profile(
-        a, b, node, grid=grid, keep_outputs=keep_output,
-        chunk_store=chunk_store, name=name, workers=workers, window=window,
-        tracer=tracer, backend=backend,
-        retry=retry, crash_budget=crash_budget, faults=faults,
-        manifest=manifest, resume_stats=resume_stats, governor=governor,
-        kernel=kernel,
+    if resume is not None and not isinstance(resume, RunManifest):
+        resume = RunManifest.load(resume)
+    if grid is None:
+        grid = resume.grid if resume is not None else plan_grid(a, b, node).grid
+    ckpt = open_checkpoint(a, b, grid, chunk_store, checkpoint=checkpoint,
+                           resume=resume, keep_output=keep_output)
+    governor = as_governor(governor)
+    if governor is not None and chunk_store is not None:
+        # the store's held bytes join the host-memory ledger, and the
+        # governor may squeeze it (spill-under-pressure) when it can
+        governor.attach_store(chunk_store)
+    profile, outputs = execute_chunk_grid(
+        a, b, grid, workers=workers, window=window, keep_outputs=keep_output,
+        chunk_sink=None if chunk_store is None else chunk_store.put,
+        name=name, tracer=tracer, backend=backend, retry=retry,
+        crash_budget=crash_budget, faults=faults, manifest=ckpt.manifest,
+        resume_stats=ckpt.resume_stats, governor=governor, kernel=kernel,
     )
-    if keep_output and resume_stats:
+    if keep_output and ckpt.resume_stats:
         # the executor skipped these chunks; serve them from the store
-        for cid in resume_stats:
-            rp, cp = profile.grid.panel_of(cid)
-            if outputs[rp][cp] is None:
-                outputs[rp][cp] = chunk_store.get(rp, cp)
+        fill_skipped(outputs, grid, ckpt.resume_stats, chunk_store.get)
     result = simulate_out_of_core(
         profile, node, mode=mode, order=order,
         divided_transfers=divided_transfers, allocator=allocator, cost=cost,
@@ -378,13 +261,13 @@ def run_out_of_core(
     matrix = assemble_chunks(outputs) if keep_output else None
     meta = dict(result.meta)
     meta["workers"] = workers
-    if resume_stats is not None:
-        meta["resumed_chunks"] = len(resume_stats)
-    if corrupt_recomputed:
-        meta["corrupt_recomputed"] = corrupt_recomputed
-    if manifest is not None:
-        meta["manifest"] = str(manifest.path)
-        meta["run_id"] = manifest.run_id
+    if ckpt.resume_stats is not None:
+        meta["resumed_chunks"] = len(ckpt.resume_stats)
+    if ckpt.corrupt_recomputed:
+        meta["corrupt_recomputed"] = ckpt.corrupt_recomputed
+    if ckpt.manifest is not None:
+        meta["manifest"] = str(ckpt.manifest.path)
+        meta["run_id"] = ckpt.manifest.run_id
     return RunResult(
         name=result.name, mode=result.mode, timeline=result.timeline,
         profile=profile, matrix=matrix, meta=meta,
@@ -423,30 +306,18 @@ def run_hybrid(
     ``tracer`` records both lanes' spans under their lane names
     ("gpu" / "cpu")."""
     node = _resolve_node(node)
+    if grid is None:
+        grid = plan_grid(a, b, node).grid
+    plan = ChunkPlan(kernel=resolve_kernel(kernel))
     if workers > 1:
-        from ..core.chunks import chunk_flops
-        from ..spgemm.kernels import resolve_kernel
-        from .executor import execute_chunk_grid, plan_hybrid_lanes
-        from .executor.plan import ChunkPlan
-
-        if grid is None:
-            grid = plan_grid(a, b, node).grid
         hybrid = plan_hybrid_lanes(chunk_flops(a, b, grid), workers, ratio)
-        plan = ChunkPlan.from_hybrid(hybrid, kernel=resolve_kernel(kernel))
-        profile, outputs = execute_chunk_grid(
-            a, b, grid, keep_outputs=keep_output, name=name,
-            window=window, plan=plan, tracer=tracer,
-            backend=backend,
-            retry=retry, crash_budget=crash_budget, faults=faults,
-            governor=governor,
-        )
-    else:
-        profile, outputs = make_profile(
-            a, b, node, grid=grid, keep_outputs=keep_output, name=name,
-            tracer=tracer, backend=backend,
-            retry=retry, crash_budget=crash_budget, faults=faults,
-            governor=governor, kernel=kernel,
-        )
+        plan = ChunkPlan.from_hybrid(hybrid, kernel=plan.kernel)
+    profile, outputs = execute_chunk_grid(
+        a, b, grid, keep_outputs=keep_output, name=name, window=window,
+        tracer=tracer, backend=backend, retry=retry,
+        crash_budget=crash_budget, faults=faults, governor=governor,
+        plan=plan,
+    )
     result = simulate_hybrid(profile, node, ratio=ratio, reorder=reorder, cost=cost)
     matrix = assemble_chunks(outputs) if keep_output else None
     meta = dict(result.meta)

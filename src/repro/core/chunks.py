@@ -10,7 +10,8 @@ per-chunk workload statistics:
   6-13, ``GetFlops``), and :func:`chunk_flops` computes the whole grid's
   flop matrix in one vectorized pass;
 * output nnz/bytes are known only after the chunk's kernel has executed;
-  :func:`profile_chunks` runs the real kernels once and records everything,
+  :func:`~repro.core.executor.execute_chunk_grid` runs the real kernels
+  once and records everything,
   so that every scheduling variant afterwards is a cheap re-simulation of
   the same :class:`ChunkProfile`.
 """
@@ -32,7 +33,6 @@ __all__ = [
     "ChunkStats",
     "ChunkProfile",
     "chunk_flops",
-    "profile_chunks",
 ]
 
 #: the serialized fields of :class:`ChunkStats`, in order — shared by the
@@ -248,71 +248,3 @@ def chunk_flops(a: CSRMatrix, b: CSRMatrix, grid: ChunkGrid) -> np.ndarray:
         hi = int(a.row_offsets[grid.row_bounds[rp + 1]])
         out[rp, :] = per_elem[lo:hi, :].sum(axis=0)
     return 2 * out
-
-
-def profile_chunks(
-    a: CSRMatrix,
-    b: CSRMatrix,
-    grid: ChunkGrid,
-    *,
-    keep_outputs: bool = False,
-    chunk_sink=None,
-    name: str = "",
-    workers: int = 1,
-    window: Optional[int] = None,
-    tracer=None,
-    backend: Optional[str] = None,
-    retry=None,
-    crash_budget: int = 0,
-    faults=None,
-    manifest=None,
-    resume_stats=None,
-    governor=None,
-    kernel=None,
-    estimate=None,
-) -> Tuple[ChunkProfile, Optional[List[List[CSRMatrix]]]]:
-    """Execute every chunk's in-core kernel and collect its statistics.
-
-    Returns the profile and, when ``keep_outputs``, the chunk matrices as
-    ``outputs[row_panel][col_panel]`` for assembly/verification.
-
-    ``chunk_sink(row_panel, col_panel, matrix)`` streams each chunk out as
-    it is produced (e.g. into a :class:`~repro.core.spill.DiskChunkStore`)
-    without retaining it — the host-side analog of the paper's chunk
-    arrival, usable when even host memory cannot hold ``C``.
-
-    ``workers`` > 1 runs the chunks concurrently through the chunk
-    execution engine (:mod:`repro.core.executor`), dispatching in
-    flops-descending order with at most ``window`` chunks in flight; the
-    output is bit-identical to serial execution.  Per-chunk measured wall
-    times are recorded in either mode.  ``backend`` picks where the
-    kernels run (``serial`` / ``thread`` / ``process``); ``None`` keeps
-    the legacy resolution (serial when ``workers == 1``, else threads).
-
-    ``tracer`` (:mod:`repro.observability`) records the chunk lifecycle —
-    queue wait, kernel phases, sink writes — without affecting results.
-
-    ``retry`` / ``crash_budget`` / ``faults`` / ``manifest`` /
-    ``resume_stats`` configure fault tolerance and checkpoint/resume,
-    ``governor`` the runtime deadline/memory-pressure limits; see
-    :func:`repro.core.executor.execute_chunk_grid`.
-
-    ``kernel`` selects the accumulator family every chunk runs with
-    (``None`` / wire string / :class:`~repro.spgemm.kernels.KernelSpec`);
-    all kernels produce the same matrices (:mod:`repro.spgemm.kernels`).
-
-    ``estimate`` (a :class:`~repro.spgemm.estimate.RowNnzEstimate`)
-    feeds sampled chunk-size estimates to the governor and density
-    hints to kernel dispatch; results are bit-identical either way.
-    """
-    from .executor import execute_chunk_grid  # deferred: executor imports chunks
-
-    return execute_chunk_grid(
-        a, b, grid,
-        workers=workers, window=window,
-        keep_outputs=keep_outputs, chunk_sink=chunk_sink, name=name,
-        tracer=tracer, backend=backend,
-        retry=retry, crash_budget=crash_budget, faults=faults,
-        manifest=manifest, resume_stats=resume_stats, governor=governor,
-        kernel=kernel, estimate=estimate,
-    )

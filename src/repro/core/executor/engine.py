@@ -165,8 +165,8 @@ class GridJob:
         #: optional ``fn(chunk_id, ChunkStats)`` called after each chunk
         #: lands durably (post-sink) — the job server streams these as
         #: progress events.  Called from lane/consumer threads; must be
-        #: cheap and must not raise (failures are swallowed so a slow or
-        #: broken observer can never corrupt the run).
+        #: cheap.  A raising observer never corrupts the run: each error
+        #: is counted as ``callback_errors`` and the chunk proceeds.
         self.chunk_events = chunk_events
         self.kernel = kernel if kernel is not None else KernelSpec()
         self.row_panels = row_panels
@@ -195,7 +195,7 @@ class GridJob:
         self._fault_lock = threading.Lock()
         self.fault_counters = {"retries": 0, "respawns": 0, "degraded": 0,
                                "timeouts": 0, "resplits": 0, "stale": 0,
-                               "avoided_resplits": 0}
+                               "avoided_resplits": 0, "callback_errors": 0}
         self._avoided_resplit_cids = set()
         # all chunks of one row panel share one A-slice cache
         self.caches = [
@@ -402,7 +402,10 @@ class GridJob:
             try:
                 self.chunk_events(cid, stats)
             except Exception:
-                pass
+                with self._fault_lock:
+                    self.fault_counters["callback_errors"] += 1
+                if self.tracer.enabled:
+                    self.tracer.bump("faults", callback_errors=1)
 
     # ------------------------------------------------------------------
     # fault tolerance (retry decisions + recovery telemetry)
@@ -639,8 +642,6 @@ def execute_chunk_grid(
     keep_outputs: bool = False,
     chunk_sink=None,
     name: str = "",
-    lanes: Optional[Sequence[Tuple[Sequence[int], int]]] = None,
-    lane_names: Optional[Sequence[str]] = None,
     tracer=None,
     backend: Optional[str] = None,
     retry: Optional[RetryPolicy] = None,
@@ -648,7 +649,6 @@ def execute_chunk_grid(
     faults=None,
     manifest=None,
     resume_stats: Optional[Mapping[int, ChunkStats]] = None,
-    degrade: bool = True,
     governor=None,
     kernel=None,
     plan=None,
@@ -679,15 +679,15 @@ def execute_chunk_grid(
         given: ``0`` would admit nothing (and silently falling back to
         the default hid exactly that), and a negative window would spin
         the dispatch loop forever.
-    keep_outputs / chunk_sink:
-        As in :func:`repro.core.chunks.profile_chunks`; sink calls are
+    keep_outputs:
+        Return the chunk matrices as ``outputs[row_panel][col_panel]``
+        for assembly/verification (default: profile only).
+    chunk_sink:
+        ``fn(row_panel, col_panel, matrix)`` streaming each chunk out as
+        it is produced (e.g. into a :class:`~repro.core.spill.\
+DiskChunkStore`) — the host-side analog of the paper's chunk arrival,
+        usable when even host memory cannot hold ``C``.  Sink calls are
         serialized under a lock, in completion order.
-    lanes:
-        Optional explicit ``[(chunk_ids, lane_workers), ...]`` partition of
-        the grid (the hybrid split).  Lanes drain concurrently, each with
-        its own bounded window and >= 1 workers; every chunk id must
-        appear exactly once.  ``lane_names`` labels the lanes in traces
-        (default ``lane0``, ``lane1``, ...).
     tracer:
         A :class:`repro.observability.Tracer` recording the full chunk
         lifecycle — queue wait, analysis/symbolic/numeric phases, sink
@@ -721,11 +721,6 @@ def execute_chunk_grid(
         ``{chunk_id: ChunkStats}`` of already-completed chunks (from a
         manifest).  Those chunks are skipped — their recorded stats are
         spliced into the profile — and only the remainder executes.
-    degrade:
-        When the selected backend cannot be established (e.g. the
-        process pool fails to spawn), fall back process -> thread ->
-        serial with a :class:`BackendDegradedWarning` instead of
-        raising (default).  ``False`` propagates the failure.
     governor:
         A :class:`~repro.core.governor.Governor` (or
         :class:`~repro.core.governor.GovernorConfig`) policing the run:
@@ -744,9 +739,13 @@ def execute_chunk_grid(
         every backend including process workers; results are identical
         across kernels (see :mod:`repro.spgemm.kernels`).
     plan:
-        A :class:`~repro.core.executor.plan.ChunkPlan` bundling lanes,
-        lane names, and the kernel spec.  Mutually exclusive with
-        passing ``lanes`` / ``lane_names`` / ``kernel`` separately.
+        A :class:`~repro.core.executor.plan.ChunkPlan` bundling the
+        kernel spec with an optional explicit lane partition
+        ``[(chunk_ids, lane_workers), ...]`` (the hybrid split).  Lanes
+        drain concurrently, each with its own bounded window and >= 1
+        workers; every chunk id must appear exactly once, and
+        ``plan.lane_names`` labels them in traces (default ``lane0``,
+        ``lane1``, ...).  Mutually exclusive with ``kernel``.
     estimate:
         A :class:`~repro.spgemm.estimate.RowNnzEstimate` for ``A x B``.
         When given, the governor's host admission and device-OOM
@@ -759,8 +758,9 @@ def execute_chunk_grid(
         Optional ``fn(chunk_id, ChunkStats)`` progress callback fired
         after each chunk lands durably (post-sink, in completion order
         per lane).  Runs on lane/consumer threads; exceptions it raises
-        are swallowed.  The job server uses this to stream per-chunk
-        completion events to callers.
+        never fail the run — each one is counted as ``callback_errors``
+        in the tracer's ``faults`` counter.  The job server uses this to
+        stream per-chunk completion events to callers.
     col_panels:
         Optional pre-partitioned column panels of ``B`` (a
         :class:`~repro.sparse.partition.PanelSet` from
@@ -788,15 +788,14 @@ def execute_chunk_grid(
     from .backends import make_backend  # deferred: backends import engine
 
     tracer = as_tracer(tracer)
+    lanes = lane_names = None
     if plan is not None:
-        if lanes is not None or lane_names is not None or kernel is not None:
-            raise ValueError(
-                "pass either plan= or lanes/lane_names/kernel, not both"
-            )
-        lanes = None if plan.lanes is None else [
-            (list(ids), w) for ids, w in plan.lanes
-        ]
-        lane_names = None if plan.lane_names is None else list(plan.lane_names)
+        if kernel is not None:
+            raise ValueError("pass either plan= or kernel=, not both")
+        if plan.lanes is not None:
+            lanes = [(list(ids), w) for ids, w in plan.lanes]
+        if plan.lane_names is not None:
+            lane_names = list(plan.lane_names)
         kernel_spec = plan.kernel
     else:
         kernel_spec = resolve_kernel(kernel)
@@ -903,7 +902,7 @@ def execute_chunk_grid(
     def lane_window(lane_workers: int) -> int:
         return default_window(lane_workers) if window is None else window
 
-    chain = DEGRADATION_CHAIN[backend_name] if degrade else (backend_name,)
+    chain = DEGRADATION_CHAIN[backend_name]
     wall_start = time.perf_counter()
     for step, candidate in enumerate(chain):
         # re-plan only the not-yet-completed chunks: after a partial

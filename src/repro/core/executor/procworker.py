@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import atexit
 import os
+import queue
 import threading
 import time
 import traceback
@@ -47,6 +48,11 @@ KILL_CHUNK_ENV = "REPRO_TEST_KILL_CHUNK"
 #: "stale death" window the pool must absorb without requeue or budget
 #: charge (the result already made it out).
 KILL_AFTER_RESULT_ENV = "REPRO_TEST_KILL_AFTER_RESULT"
+
+#: seconds an idle worker waits on the task queue before checking that
+#: its parent is still alive; a worker whose parent was SIGKILLed is
+#: re-parented and would otherwise block on the queue forever
+PARENT_CHECK_SECONDS = 0.5
 
 
 def _start_heartbeat(claims, beat_slot: int, interval: float) -> None:
@@ -195,8 +201,14 @@ def worker_main(
             return
         result_q.put(("ready", worker_name))
 
+        parent = os.getppid()
         while True:
-            task = task_q.get()
+            try:
+                task = task_q.get(timeout=PARENT_CHECK_SECONDS)
+            except queue.Empty:
+                if os.getppid() != parent:
+                    break  # orphaned: nobody is left to send work
+                continue
             if task is None:
                 break
             cid, rp, cp, t_submit_raw, attempt = task

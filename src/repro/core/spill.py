@@ -23,8 +23,11 @@ ChunkStats` record of every completed chunk.  The executor's sink marks
 a chunk done only *after* its store write, so the manifest never points
 at data that was not durably written; every rewrite is atomic (temp file
 + ``os.replace``), so a kill mid-write leaves the previous good
-manifest.  ``run_out_of_core(..., resume=manifest)`` validates the hash
-and recomputes only the chunks the manifest does not record.
+manifest.  :func:`open_checkpoint` is the one checkpoint/resume protocol
+both :func:`repro.core.api.run_out_of_core` and
+:func:`repro.distributed.shard.run_sharded` follow: it validates the
+hash, CRC-verifies the stored chunks, and hands the executor only the
+chunks that still need computing.
 """
 
 from __future__ import annotations
@@ -37,8 +40,9 @@ import threading
 import uuid
 import zipfile
 import zlib
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -54,6 +58,9 @@ __all__ = [
     "SpillableChunkStore",
     "RunManifest",
     "ManifestMismatch",
+    "Checkpoint",
+    "open_checkpoint",
+    "fill_skipped",
     "operand_grid_hash",
 ]
 
@@ -593,3 +600,86 @@ class RunManifest:
         with open(tmp, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=1)
         os.replace(tmp, self.path)
+
+
+@dataclass
+class Checkpoint:
+    """Checkpoint state of one chunk-grid run.
+
+    ``manifest`` is what the executor extends as chunks complete;
+    ``resume_stats`` (``None`` unless resuming) holds the verified
+    chunks the executor skips; ``corrupt_recomputed`` counts stored
+    chunks that failed verification and will be recomputed.
+    """
+
+    manifest: Optional[RunManifest] = None
+    resume_stats: Optional[Dict[int, ChunkStats]] = None
+    corrupt_recomputed: int = 0
+
+
+def open_checkpoint(a: CSRMatrix, b: CSRMatrix, grid: ChunkGrid,
+                    store=None, *, checkpoint: Optional[os.PathLike] = None,
+                    resume=None, keep_output: bool = False) -> Checkpoint:
+    """Start or resume the checkpoint of ``C = A x B`` over ``grid``.
+
+    ``resume`` (a :class:`RunManifest` or its path) is loaded and
+    validated against the operands and grid; each chunk it records is
+    re-read from ``store`` and verified against the manifest's CRC, and
+    corrupt, mismatched or missing chunks are evicted so the executor
+    recomputes them (the recompute re-checkpoints with a fresh CRC).
+    Otherwise ``checkpoint`` (a path) starts a fresh manifest; with
+    neither the run is not checkpointed.  Resuming with
+    ``keep_output=True`` needs the ``store`` holding the previous run's
+    chunks.
+    """
+    if resume is None:
+        if checkpoint is None:
+            return Checkpoint()
+        return Checkpoint(manifest=RunManifest.create(
+            checkpoint, a, b, grid,
+            store_dir=getattr(store, "directory", None)))
+    manifest = (resume if isinstance(resume, RunManifest)
+                else RunManifest.load(resume))
+    manifest.validate(a, b, grid)
+    resume_stats = manifest.completed_stats()
+    if resume_stats and keep_output and store is None:
+        raise ValueError(
+            "resuming with keep_output=True requires the chunk_store "
+            "holding the previous run's chunks (e.g. a DiskChunkStore "
+            "over the original spill directory)"
+        )
+    dropped = 0
+    if resume_stats and store is not None:
+        verified = {}
+        for cid, stats in resume_stats.items():
+            rp, cp = stats.row_panel, stats.col_panel
+            try:
+                matrix = store.get(rp, cp)
+            except KeyError:
+                dropped += 1  # vanished from the store: recompute
+                continue
+            except ChunkCorruption:
+                store.discard(rp, cp)
+                dropped += 1
+                continue
+            expected = manifest.chunk_crc(cid)
+            if expected is not None and crc32_matrix(matrix) != expected:
+                # the store's copy parses but is not the chunk the
+                # manifest checkpointed (e.g. silently overwritten)
+                store.discard(rp, cp)
+                dropped += 1
+                continue
+            verified[cid] = stats
+        resume_stats = verified
+    return Checkpoint(manifest, resume_stats, dropped)
+
+
+def fill_skipped(outputs: List[List[Optional[CSRMatrix]]], grid: ChunkGrid,
+                 chunk_ids: Iterable[int],
+                 get: Callable[[int, int], CSRMatrix]) -> None:
+    """Fill the output slots of chunks the executor skipped on resume
+    with ``get(row_panel, col_panel)`` (e.g. the chunk store's ``get``)."""
+    for cid in chunk_ids:
+        rp, cp = grid.panel_of(cid)
+        if outputs[rp][cp] is None:
+            outputs[rp][cp] = get(rp, cp)

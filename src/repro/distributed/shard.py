@@ -51,9 +51,11 @@ import numpy as np
 from ..core.assemble import assemble_chunks
 from ..core.chunks import ChunkGrid, ChunkProfile, ChunkStats, chunk_flops
 from ..core.executor import execute_chunk_grid
+from ..core.executor.faults import default_retryable
 from ..core.governor import Governor, GovernorConfig, HostMemoryGovernor
 from ..core.governor.integrity import ChunkCorruption, crc32_matrix
-from ..core.spill import DiskChunkStore, RunManifest
+from ..core.spill import (Checkpoint, DiskChunkStore, fill_skipped,
+                          open_checkpoint)
 from ..observability import Tracer
 from ..observability.chrome import multi_tracer_events, timeline_events
 from ..sparse.formats import CSRMatrix
@@ -66,6 +68,7 @@ from .transport import (
     TransportWorkerLost,
     csr_arrays,
     run_remote_span,
+    settings_record,
 )
 
 __all__ = [
@@ -85,10 +88,10 @@ class ShardConfig:
 
     ``workers`` / ``window`` / ``backend`` are *per shard* — each shard
     gets its own executor pool (the process backend gives every shard
-    its own worker processes).  ``device_pool_bytes`` and the deadline
-    fields configure each shard's private governor;
-    ``host_mem_budget_bytes`` is the **node-global** ledger all shards
-    share.  ``balance`` picks how row panels map to shards:
+    its own worker processes).  ``governor`` configures each shard's
+    private governor (device pool, deadlines, re-split depth), except
+    that its ``host_mem_budget_bytes`` is the **node-global** ledger
+    all shards share.  ``balance`` picks how row panels map to shards:
     ``"flops"`` cuts at near-equal cumulative flops (LPT-style load
     balance on contiguous spans), ``"panels"`` at near-equal panel
     counts.
@@ -99,11 +102,7 @@ class ShardConfig:
     backend: Optional[str] = None
     window: Optional[int] = None
     kernel: Optional[str] = None
-    device_pool_bytes: Optional[int] = None
-    deadline_seconds: Optional[float] = None
-    heartbeat_interval: Optional[float] = None
-    host_mem_budget_bytes: Optional[int] = None
-    max_resplit_depth: int = 8
+    governor: Optional[GovernorConfig] = None
     balance: str = "flops"
     network: NetworkModel = field(default_factory=NetworkModel)
     #: ``"local"`` runs every shard in-process (PR 9 behavior);
@@ -368,13 +367,6 @@ def _sub_grid(grid: ChunkGrid, span: ShardSpan) -> ChunkGrid:
     return ChunkGrid(row_bounds=sub_bounds, col_bounds=grid.col_bounds)
 
 
-def _verify_resumed(manifest, store, resume_stats):
-    # the same CRC gate api.run_out_of_core applies on --resume
-    from ..core.api import _verify_resumed_chunks
-
-    return _verify_resumed_chunks(manifest, store, resume_stats)
-
-
 def run_sharded(
     a: CSRMatrix,
     b: CSRMatrix,
@@ -403,7 +395,9 @@ def run_sharded(
     ``shard_debug`` maps shard id -> transport chaos hooks
     (``{"sever_after": N, "heartbeat_stall": seconds}``) forwarded to
     that shard's remote worker.  ``retry`` / ``crash_budget`` apply to
-    every shard.  ``tracer`` is the *node* tracer (shared-ledger
+    every shard; a socket run ships the policy's fields to the workers,
+    so its ``retryable`` predicate must be the default.  ``tracer`` is
+    the *node* tracer (shared-ledger
     ``host_mem`` gauges land there); each shard additionally gets its
     own stream, all merged by :meth:`ShardedResult.trace_events`.
 
@@ -419,6 +413,12 @@ def run_sharded(
     if a.n_cols != b.n_rows:
         raise ValueError(f"dimension mismatch: A is {a.shape}, B is {b.shape}")
     cfg = config if config is not None else ShardConfig()
+    if (cfg.transport == "socket" and retry is not None
+            and retry.retryable is not default_retryable):
+        raise ValueError(
+            "socket transport cannot ship a custom RetryPolicy.retryable "
+            "predicate to remote workers; use the default predicate"
+        )
     if grid is None:
         rp = max(cfg.num_shards, min(a.n_rows, 2 * cfg.num_shards))
         cp = min(b.n_cols, 2)
@@ -432,13 +432,14 @@ def run_sharded(
     use_socket = cfg.transport == "socket"
 
     node_tracer = tracer if tracer is not None else Tracer(stream="node")
+    gov_config = cfg.governor if cfg.governor is not None else GovernorConfig()
+    host_budget = gov_config.host_mem_budget_bytes
     ledger = None
     # the shared host-memory ledger cannot span worker processes; socket
     # runs hand each worker a 1/N share of the budget instead (enforced
     # by that worker's own governor)
-    if cfg.host_mem_budget_bytes is not None and not use_socket:
-        ledger = HostMemoryGovernor(cfg.host_mem_budget_bytes,
-                                    tracer=node_tracer)
+    if host_budget is not None and not use_socket:
+        ledger = HostMemoryGovernor(host_budget, tracer=node_tracer)
 
     pool = worker_pool
     owns_pool = False
@@ -470,40 +471,53 @@ def run_sharded(
     failures: Dict[int, BaseException] = {}
     rb = grid.row_bounds
 
+    # the serial backend is single-worker by definition; a lane budget
+    # of N means "N per shard" only where a pool exists
+    shard_workers = 1 if cfg.backend == "serial" else cfg.workers
+
     def make_governor(t: int) -> Governor:
+        if ledger is None:
+            return Governor(gov_config)
+        # the scoped view supplies host admission; a per-shard private
+        # budget as well would double-govern
         return Governor(
-            GovernorConfig(
-                deadline_seconds=cfg.deadline_seconds,
-                heartbeat_interval=cfg.heartbeat_interval,
-                device_pool_bytes=cfg.device_pool_bytes,
-                max_resplit_depth=cfg.max_resplit_depth,
-                # the scoped view below supplies host admission; a
-                # per-shard private budget here would double-govern
-                host_mem_budget_bytes=(
-                    cfg.host_mem_budget_bytes if ledger is None else None),
-            ),
-            hostmem=None if ledger is None else ledger.scoped(f"shard{t}"),
+            dataclasses.replace(gov_config, host_mem_budget_bytes=None),
+            hostmem=ledger.scoped(f"shard{t}"),
         )
 
-    def worker_config() -> dict:
-        """The remote worker's executor config (the run-frame payload)."""
-        share = None
-        if cfg.host_mem_budget_bytes is not None:
-            share = max(1, int(cfg.host_mem_budget_bytes) // num_shards)
-        return {
-            "workers": 1 if cfg.backend == "serial" else cfg.workers,
-            "window": cfg.window,
-            "backend": cfg.backend,
-            "kernel": cfg.kernel,
-            "retries": getattr(retry, "max_attempts", 1) if retry else 1,
-            "retry_delay": getattr(retry, "base_delay", 0.05) if retry else 0.05,
-            "crash_budget": crash_budget,
-            "deadline_seconds": cfg.deadline_seconds,
-            "heartbeat_interval_governor": cfg.heartbeat_interval,
-            "device_pool_bytes": cfg.device_pool_bytes,
-            "max_resplit_depth": cfg.max_resplit_depth,
-            "host_mem_budget_bytes": share,
-        }
+    # the remote worker's executor settings (the run-frame payload)
+    remote_governor = cfg.governor
+    if remote_governor is not None and host_budget is not None:
+        remote_governor = dataclasses.replace(
+            remote_governor,
+            host_mem_budget_bytes=max(1, int(host_budget) // num_shards))
+    worker_config = {
+        "workers": shard_workers,
+        "window": cfg.window,
+        "backend": cfg.backend,
+        "kernel": cfg.kernel,
+        "crash_budget": crash_budget,
+        "retry": settings_record(retry),
+        "governor": settings_record(remote_governor),
+    }
+
+    def run_span_local(t, shard_tracer, a_shard, sub, store, manifest,
+                       resume_stats, faults):
+        """Run one span in-process through the ordinary executor."""
+        gov = make_governor(t)
+        if store is not None:
+            gov.attach_store(store)
+        return execute_chunk_grid(
+            a_shard, b, sub, workers=shard_workers, window=cfg.window,
+            keep_outputs=keep_output,
+            chunk_sink=None if store is None else store.put,
+            name=f"{name}.shard{t}" if name else f"shard{t}",
+            tracer=shard_tracer, backend=cfg.backend,
+            retry=retry, crash_budget=crash_budget, faults=faults,
+            manifest=manifest, resume_stats=resume_stats or None,
+            governor=gov, kernel=cfg.kernel,
+            col_panels=shared_col_panels,
+        )
 
     def run_span_socket(span, rec, shard_tracer, a_shard, sub,
                         store, manifest, resume_stats):
@@ -519,9 +533,7 @@ def run_sharded(
         outputs: List[List[Optional[CSRMatrix]]] = [
             [None] * sub.num_col_panels for _ in range(sub.num_row_panels)]
         if keep_output and store is not None:
-            for cid in completed:
-                lrp, cp = sub.panel_of(cid)
-                outputs[lrp][cp] = store.get(lrp, cp)
+            fill_skipped(outputs, sub, completed, store.get)
 
         a_meta, a_arrays = csr_arrays(a_shard, prefix="a_")
         b_meta, b_arrays = csr_arrays(b, prefix="b_")
@@ -529,7 +541,7 @@ def run_sharded(
             "name": run_name,
             "grid": {"row_bounds": sub.row_bounds.tolist(),
                      "col_bounds": sub.col_bounds.tolist()},
-            "config": worker_config(),
+            "config": worker_config,
         }
         run_meta.update(a_meta)
         run_meta.update(b_meta)
@@ -600,9 +612,17 @@ def run_sharded(
                     "re-placing the remaining span in-process"
                 ))
                 rec.failover = "local"
-                return run_span_degraded(span, rec, shard_tracer, a_shard,
-                                         sub, store, manifest, completed,
-                                         outputs, run_name)
+                # finish in-process, splicing the CRC-verified chunks
+                # already received or checkpointed as the resume set —
+                # the skip semantics a reconnect uses, so the result
+                # stays bit-identical
+                profile, outs = run_span_local(
+                    t, shard_tracer, a_shard, sub, store, manifest,
+                    completed, faults=None)
+                if keep_output:
+                    fill_skipped(outs, sub, completed,
+                                 lambda lrp, cp: outputs[lrp][cp])
+                return profile, outs
             rec.bcast_seconds += last_result.bcast_seconds
             rec.gather_seconds += last_result.gather_seconds
             rec.bytes_sent += last_result.bytes_sent
@@ -636,34 +656,6 @@ def run_sharded(
         )
         return profile, outputs
 
-    def run_span_degraded(span, rec, shard_tracer, a_shard, sub,
-                          store, manifest, completed, outputs, run_name):
-        """Local fallback: finish the span in-process, splicing the
-        CRC-verified chunks already received/checkpointed as a resume
-        set — the same skip semantics a reconnect would use, so the
-        result stays bit-identical."""
-        t = span.shard_id
-        profile, outs = execute_chunk_grid(
-            a_shard, b, sub,
-            workers=1 if cfg.backend == "serial" else cfg.workers,
-            window=cfg.window,
-            keep_outputs=keep_output,
-            chunk_sink=None if store is None else store.put,
-            name=run_name,
-            tracer=shard_tracer, backend=cfg.backend,
-            retry=retry, crash_budget=crash_budget,
-            manifest=manifest,
-            resume_stats=completed or None,
-            governor=make_governor(t), kernel=cfg.kernel,
-            col_panels=shared_col_panels,
-        )
-        if keep_output:
-            for lrp in range(sub.num_row_panels):
-                for cp in range(sub.num_col_panels):
-                    if outs[lrp][cp] is None:
-                        outs[lrp][cp] = outputs[lrp][cp]
-        return profile, outs
-
     def shard_main(span: ShardSpan) -> None:
         t = span.shard_id
         rec = records[t]
@@ -673,57 +665,30 @@ def run_sharded(
         a_shard = a.row_slice(int(rb[span.rp_lo]), int(rb[span.rp_hi]))
         sub = _sub_grid(grid, span)
         store = None
-        manifest = None
-        resume_stats = None
+        state = Checkpoint()
         if ckpt is not None:
             store = DiskChunkStore(ckpt / f"shard{t}.chunks")
             manifest_path = ckpt / f"shard{t}.manifest.json"
-            if resume and manifest_path.exists():
-                manifest = RunManifest.load(manifest_path)
-                manifest.validate(a_shard, b, sub)
-                resume_stats = manifest.completed_stats()
-                resume_stats, dropped = _verify_resumed(
-                    manifest, store, resume_stats)
-                rec.resumed_chunks = len(resume_stats)
-                rec.corrupt_recomputed = dropped
-            else:
-                manifest = RunManifest.create(
-                    manifest_path, a_shard, b, sub,
-                    store_dir=store.directory)
+            state = open_checkpoint(
+                a_shard, b, sub, store, checkpoint=manifest_path,
+                resume=(manifest_path if resume and manifest_path.exists()
+                        else None))
+            rec.resumed_chunks = len(state.resume_stats or ())
+            rec.corrupt_recomputed = state.corrupt_recomputed
         import time as _time
 
         t0 = _time.perf_counter()
         if use_socket:
             profile, outputs = run_span_socket(
                 span, rec, shard_tracer, a_shard, sub,
-                store, manifest, resume_stats)
+                store, state.manifest, state.resume_stats)
         else:
-            gov = make_governor(t)
-            if store is not None and gov.hostmem is not None:
-                gov.attach_store(store)
-            profile, outputs = execute_chunk_grid(
-                a_shard, b, sub,
-                # the serial backend is single-worker by definition; a
-                # lane-budget of N means "N per shard" only where a pool exists
-                workers=1 if cfg.backend == "serial" else cfg.workers,
-                window=cfg.window,
-                keep_outputs=keep_output,
-                chunk_sink=None if store is None else store.put,
-                name=f"{name}.shard{t}" if name else f"shard{t}",
-                tracer=shard_tracer, backend=cfg.backend,
-                retry=retry, crash_budget=crash_budget,
-                faults=shard_faults.get(t),
-                manifest=manifest,
-                resume_stats=resume_stats or None,
-                governor=gov, kernel=cfg.kernel,
-                col_panels=shared_col_panels,
-            )
-            if keep_output and resume_stats:
+            profile, outputs = run_span_local(
+                t, shard_tracer, a_shard, sub, store, state.manifest,
+                state.resume_stats, faults=shard_faults.get(t))
+            if keep_output and state.resume_stats:
                 # the engine skipped these; serve them from the checkpoint
-                for cid in resume_stats:
-                    lrp, cp = sub.panel_of(cid)
-                    if outputs[lrp][cp] is None:
-                        outputs[lrp][cp] = store.get(lrp, cp)
+                fill_skipped(outputs, sub, state.resume_stats, store.get)
         rec.wall_seconds = _time.perf_counter() - t0
         shard_profiles[t] = profile
         shard_outputs[t] = outputs

@@ -38,6 +38,8 @@ from .wire import (
 from .worker import (
     DEFAULT_HEARTBEAT_INTERVAL,
     ShardWorker,
+    run_settings,
+    settings_record,
     shard_worker_main,
     stats_from_record,
     stats_record,
@@ -67,7 +69,9 @@ __all__ = [
     "parse_address",
     "recv_frame",
     "run_remote_span",
+    "run_settings",
     "send_frame",
+    "settings_record",
     "shard_worker_main",
     "stats_from_record",
     "stats_record",

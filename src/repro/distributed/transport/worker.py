@@ -35,6 +35,7 @@ process is still alive.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import socket
 import struct
@@ -64,7 +65,8 @@ from .wire import (
     send_frame,
 )
 
-__all__ = ["ShardWorker", "shard_worker_main", "stats_record", "stats_from_record"]
+__all__ = ["ShardWorker", "shard_worker_main", "stats_record", "stats_from_record",
+           "settings_record", "run_settings"]
 
 #: default wire heartbeat period (seconds) when a run does not set one
 DEFAULT_HEARTBEAT_INTERVAL = 0.25
@@ -83,6 +85,36 @@ def stats_record(stats: ChunkStats) -> dict:
 
 def stats_from_record(record: dict) -> ChunkStats:
     return ChunkStats(**{f: record[f] for f in STAT_FIELDS})
+
+
+def settings_record(settings) -> Optional[dict]:
+    """The fields of a :class:`GovernorConfig` or :class:`RetryPolicy`
+    under their own names, for the run frame's ``config``.
+
+    A retry policy's ``retryable`` predicate is code and cannot cross
+    the wire; the node rejects non-default predicates before sending.
+    """
+    if settings is None:
+        return None
+    return {f.name: getattr(settings, f.name)
+            for f in dataclasses.fields(settings) if f.name != "retryable"}
+
+
+def run_settings(config: dict) -> dict:
+    """The executor keyword arguments a run frame's ``config`` encodes
+    (the inverse of the node's :func:`settings_record` payload)."""
+    retry = config.get("retry")
+    governor = config.get("governor")
+    return {
+        "workers": int(config.get("workers") or 1),
+        "window": config.get("window"),
+        "backend": config.get("backend"),
+        "kernel": config.get("kernel"),
+        "crash_budget": int(config.get("crash_budget") or 0),
+        "retry": None if retry is None else RetryPolicy(**retry),
+        "governor": (None if governor is None
+                     else Governor(GovernorConfig(**governor))),
+    }
 
 
 class _Shutdown(Exception):
@@ -293,44 +325,22 @@ class ShardWorker:
             row_bounds=np.asarray(meta["grid"]["row_bounds"], dtype=np.int64),
             col_bounds=np.asarray(meta["grid"]["col_bounds"], dtype=np.int64),
         )
-        cfg = meta.get("config") or {}
         skip = {int(rec["chunk_id"]): stats_from_record(rec)
                 for rec in meta.get("skip", [])}
-        retries = int(cfg.get("retries") or 1)
-        retry = None
-        if retries > 1:
-            retry = RetryPolicy(max_attempts=retries,
-                                base_delay=float(cfg.get("retry_delay", 0.05)))
-        governor = None
-        if any(cfg.get(k) is not None for k in
-               ("deadline_seconds", "heartbeat_interval_governor",
-                "device_pool_bytes", "host_mem_budget_bytes")):
-            governor = Governor(GovernorConfig(
-                deadline_seconds=cfg.get("deadline_seconds"),
-                heartbeat_interval=cfg.get("heartbeat_interval_governor"),
-                device_pool_bytes=cfg.get("device_pool_bytes"),
-                max_resplit_depth=int(cfg.get("max_resplit_depth") or 8),
-                host_mem_budget_bytes=cfg.get("host_mem_budget_bytes"),
-            ))
+        settings = run_settings(meta.get("config") or {})
         streamer = _StreamingSink(conn)
         conn.send("run-ack", {"chunks": grid.num_chunks,
                               "skipped": len(skip)})
         t0 = time.perf_counter()
         execute_chunk_grid(
             a, b, grid,
-            workers=int(cfg.get("workers") or 1),
-            window=cfg.get("window"),
             keep_outputs=False,
             chunk_sink=streamer.sink,
             manifest=streamer,
             name=str(meta.get("name") or "remote-shard"),
-            backend=cfg.get("backend"),
-            kernel=cfg.get("kernel"),
-            retry=retry,
-            crash_budget=int(cfg.get("crash_budget") or 0),
             faults=meta.get("faults") or None,
             resume_stats=skip or None,
-            governor=governor,
+            **settings,
         )
         conn.send("done", {
             "wall_seconds": time.perf_counter() - t0,

@@ -19,7 +19,8 @@ from typing import List, Sequence
 
 from ..core.api import simulate_hybrid, simulate_out_of_core
 from ..core.chunks import ChunkProfile
-from ..core.profilecache import profile_for
+from ..core.executor import execute_chunk_grid
+from ..core.planner import plan_grid
 from ..metrics.report import format_table, write_result
 from ..sparse.reordering import degree_order, permute_symmetric, rcm_order
 from .runner import cache_dir, get_matrix, get_node
@@ -59,7 +60,8 @@ def _profile(abbr: str, ordering: str) -> ChunkProfile:
         a = permute_symmetric(a, rcm_order(a))
     elif ordering != "original":
         raise ValueError(f"unknown ordering {ordering!r}")
-    profile = profile_for(a, a, get_node(abbr), name=f"{abbr}:{ordering}")
+    grid = plan_grid(a, a, get_node(abbr)).grid
+    profile, _ = execute_chunk_grid(a, a, grid, name=f"{abbr}:{ordering}")
     path.write_text(json.dumps({"kernel": wire, **profile.to_dict()}))
     return profile
 

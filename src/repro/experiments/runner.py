@@ -25,9 +25,9 @@ from typing import Callable, Dict, TypeVar
 
 T = TypeVar("T")
 
-from ..core.chunks import ChunkProfile, csr_bytes
-from ..core.planner import working_set_bytes
-from ..core.profilecache import profile_for
+from ..core.chunks import ChunkGrid, ChunkProfile, csr_bytes
+from ..core.executor import execute_chunk_grid
+from ..core.planner import plan_grid, working_set_bytes
 from ..device.specs import NodeSpec, v100_node
 from ..spgemm.kernels import resolved_wire
 from ..sparse.formats import CSRMatrix
@@ -71,22 +71,24 @@ def all_abbrs() -> list:
 
 
 def _load_cached(path: Path, loader: Callable[[Path], T]) -> T:
-    """Load a cache artifact, discarding it when corrupt.
+    """Load a cache artifact, discarding it when corrupt or stale.
 
     The disk cache is disposable — everything in it can be regenerated
     deterministically — so *any* failure to read an artifact (truncated
     ``.npz`` from an interrupted write, garbage JSON, missing arrays) is
     handled by deleting the file and signalling the caller to rebuild,
-    never by crashing the run.
+    never by crashing the run.  A readable entry measured under another
+    kernel (:class:`_StaleCacheEntry`) takes the same path, reported as
+    stale rather than corrupt.
     """
     try:
         return loader(path)
     except Exception as exc:
-        warnings.warn(
-            f"discarding corrupt cache file {path.name}: {exc!r}; regenerating",
-            RuntimeWarning,
-            stacklevel=3,
-        )
+        if isinstance(exc, _StaleCacheEntry):
+            reason = f"discarding stale cache file {path.name}: {exc}"
+        else:
+            reason = f"discarding corrupt cache file {path.name}: {exc!r}"
+        warnings.warn(f"{reason}; regenerating", RuntimeWarning, stacklevel=3)
         try:
             path.unlink()
         except OSError:
@@ -95,7 +97,12 @@ def _load_cached(path: Path, loader: Callable[[Path], T]) -> T:
 
 
 class _CorruptCacheEntry(Exception):
-    """Internal: a cache artifact was unreadable and has been removed."""
+    """Internal: a cache artifact was unreadable or stale and has been
+    removed."""
+
+
+class _StaleCacheEntry(ValueError):
+    """Internal: a readable cache artifact measured under another kernel."""
 
 
 def _load_profile_payload(path: Path, wire: str) -> ChunkProfile:
@@ -112,7 +119,7 @@ def _load_profile_payload(path: Path, wire: str) -> ChunkProfile:
     payload = json.loads(path.read_text())
     cached = payload.pop("kernel", "")
     if cached != wire:
-        raise ValueError(
+        raise _StaleCacheEntry(
             f"profile cached under kernel {cached!r} but current kernel "
             f"resolves to {wire!r}"
         )
@@ -198,7 +205,8 @@ def get_profile(abbr: str, kernel=None) -> ChunkProfile:
     if profile is None:
         a = get_matrix(abbr)
         node = get_node(abbr)
-        profile = profile_for(a, a, node, name=abbr, kernel=kernel)
+        grid = plan_grid(a, a, node).grid
+        profile, _ = execute_chunk_grid(a, a, grid, name=abbr, kernel=kernel)
         path.write_text(json.dumps({"kernel": wire, **profile.to_dict()}))
     _profile_cache[key] = profile
     return profile
@@ -219,11 +227,9 @@ def get_profile_for_grid(abbr: str, rows: int, cols: int, kernel=None) -> ChunkP
         except _CorruptCacheEntry:
             profile = None
     if profile is None:
-        from ..core.chunks import ChunkGrid, profile_chunks
-
         a = get_matrix(abbr)
         grid = ChunkGrid.regular(a.n_rows, a.n_cols, rows, cols)
-        profile, _ = profile_chunks(a, a, grid, name=key, kernel=kernel)
+        profile, _ = execute_chunk_grid(a, a, grid, name=key, kernel=kernel)
         path.write_text(json.dumps({"kernel": wire, **profile.to_dict()}))
     _profile_cache[key] = profile
     return profile

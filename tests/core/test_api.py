@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.api import (
-    make_profile,
     run_hybrid,
     run_out_of_core,
     simulate_cpu_baseline,
@@ -11,6 +10,8 @@ from repro.core.api import (
     simulate_out_of_core,
     spgemm,
 )
+from repro.core.executor import execute_chunk_grid
+from repro.core.planner import plan_grid
 from repro.sparse.generators import rmat
 from repro.sparse.ops import drop_explicit_zeros
 from repro.spgemm.reference import spgemm_scipy
@@ -113,13 +114,18 @@ class TestSimulationConsistency:
 
 
 class TestMakeProfile:
+    """Making a chunk profile: plan the grid, then execute every chunk."""
+
     def test_plans_when_no_grid(self, matrix, node):
-        profile, outputs = make_profile(matrix, matrix, node, keep_outputs=True)
+        grid = plan_grid(matrix, matrix, node).grid
+        profile, outputs = execute_chunk_grid(matrix, matrix, grid,
+                                              keep_outputs=True)
         assert profile.total_flops > 0
         assert outputs is not None
 
     def test_no_outputs_by_default(self, matrix, node):
-        _, outputs = make_profile(matrix, matrix, node)
+        grid = plan_grid(matrix, matrix, node).grid
+        _, outputs = execute_chunk_grid(matrix, matrix, grid)
         assert outputs is None
 
 
@@ -147,7 +153,7 @@ class TestParallelWorkers:
         assert par.meta["workers"] == 3
         assert_equals_scipy_product(par.matrix, matrix, matrix)
 
-    def test_make_profile_records_measurements(self, matrix, node):
-        profile, _ = make_profile(matrix, matrix, node, workers=2)
+    def test_out_of_core_records_measurements(self, matrix, node):
+        profile = run_out_of_core(matrix, matrix, node, workers=2).profile
         assert profile.has_measured_times
         assert all(c.measured for c in profile.chunks)

@@ -16,6 +16,7 @@ import pytest
 from repro.core.chunks import ChunkGrid, chunk_flops
 from repro.core.executor import (
     EXECUTOR_BACKENDS,
+    ChunkPlan,
     WorkerCrashed,
     execute_chunk_grid,
     plan_hybrid_lanes,
@@ -117,8 +118,7 @@ class TestThreeWayEquivalence:
         planned = plan_hybrid_lanes(chunk_flops(a, a, grid), 2, 0.65)
         profile, out = execute_chunk_grid(
             a, a, grid, keep_outputs=True, backend=backend,
-            lanes=[(ids, w) for ids, w, _ in planned],
-            lane_names=[n for _, _, n in planned],
+            plan=ChunkPlan.from_hybrid(planned),
         )
         assert_outputs_identical(serial_out, out)
         assert_profiles_identical(serial_profile, profile)
@@ -213,13 +213,11 @@ class TestCrashCleanup:
 
 
 class TestPublicThreading:
-    def test_profile_chunks_backend_param(self, problem, serial):
-        from repro.core.chunks import profile_chunks
-
+    def test_backend_param_with_workers(self, problem, serial):
         a, grid = problem
         _, serial_out = serial
-        _, out = profile_chunks(a, a, grid, keep_outputs=True, workers=2,
-                                backend="process")
+        _, out = execute_chunk_grid(a, a, grid, keep_outputs=True, workers=2,
+                                    backend="process")
         assert_outputs_identical(serial_out, out)
 
     def test_run_hybrid_backend_param(self, problem):

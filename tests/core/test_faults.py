@@ -437,12 +437,17 @@ def test_degradation_chain(problem, baseline, monkeypatch, broken,
     assert tracer.counters("faults").get("degraded") == len(broken)
 
 
-def test_degrade_false_propagates(problem, monkeypatch):
-    _break_backends(monkeypatch, {"process"})
+def test_exhausted_chain_propagates(problem, monkeypatch):
+    """With every backend of the chain broken, the last step's
+    failure propagates after one warning per degradation."""
+    _break_backends(monkeypatch, {"process", "thread", "serial"})
     a, b, grid = problem
-    with pytest.raises(BackendUnavailable):
-        execute_chunk_grid(a, b, grid, workers=2, backend="process",
-                           keep_outputs=True, degrade=False)
+    with pytest.warns(BackendDegradedWarning) as record:
+        with pytest.raises(BackendUnavailable):
+            execute_chunk_grid(a, b, grid, workers=2, backend="process",
+                               keep_outputs=True)
+    assert sum(issubclass(w.category, BackendDegradedWarning)
+               for w in record) == 2
 
 
 def test_serial_backend_unavailable_is_terminal(problem, monkeypatch):
@@ -471,3 +476,21 @@ def test_real_process_spawn_failure_degrades(problem, baseline, monkeypatch):
                                         backend="process", keep_outputs=True)
     assert_outputs_identical(outputs, baseline)
     assert leaked_shm() == []
+
+
+@pytest.mark.parametrize("backend", ["serial", "process"])
+def test_raising_chunk_events_are_counted(problem, baseline, backend):
+    """A progress callback that always raises never fails the run: the
+    product stays bit-identical and every swallowed error is counted."""
+    from repro.observability.tracer import Tracer
+
+    def broken_observer(cid, stats):
+        raise RuntimeError("observer boom")
+
+    a, b, grid = problem
+    tracer = Tracer()
+    _, outputs = execute_chunk_grid(
+        a, b, grid, workers=1 if backend == "serial" else 2, backend=backend,
+        keep_outputs=True, tracer=tracer, chunk_events=broken_observer)
+    assert_outputs_identical(outputs, baseline)
+    assert tracer.counters("faults")["callback_errors"] == grid.num_chunks

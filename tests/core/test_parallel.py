@@ -10,8 +10,9 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core.chunks import ChunkGrid, chunk_flops, profile_chunks
-from repro.core.parallel import (
+from repro.core.chunks import ChunkGrid, chunk_flops
+from repro.core.executor import (
+    ChunkPlan,
     default_window,
     execute_chunk_grid,
     flops_desc_order,
@@ -135,7 +136,8 @@ class TestBitIdentity:
         _, serial_out = serial
         gpu, cpu = split_by_flop_ratio(chunk_flops(a, a, grid), 0.65)
         _, par_out = execute_chunk_grid(
-            a, a, grid, keep_outputs=True, lanes=[(gpu, 3), (cpu, 1)]
+            a, a, grid, keep_outputs=True,
+            plan=ChunkPlan(lanes=((tuple(gpu), 3), (tuple(cpu), 1))),
         )
         assert_outputs_identical(serial_out, par_out)
 
@@ -241,7 +243,8 @@ class TestValidation:
         a, grid = problem
         ids = list(range(grid.num_chunks))
         with pytest.raises(ValueError, match="lane"):
-            execute_chunk_grid(a, a, grid, lanes=[(ids[:1], 1), (ids[1:], 0)])
+            execute_chunk_grid(a, a, grid, plan=ChunkPlan(
+                lanes=((tuple(ids[:1]), 1), (tuple(ids[1:]), 0))))
 
     def test_single_worker_hybrid_lanes_serialized(self, problem, serial):
         """plan_hybrid_lanes(workers=1) + execute = serial result."""
@@ -251,34 +254,19 @@ class TestValidation:
         _, serial_out = serial
         planned = plan_hybrid_lanes(chunk_flops(a, a, grid).ravel(), 1, 0.65)
         _, out = execute_chunk_grid(
-            a, a, grid, keep_outputs=True,
-            lanes=[(ids, w) for ids, w, _ in planned],
-            lane_names=[n for _, _, n in planned],
+            a, a, grid, keep_outputs=True, plan=ChunkPlan.from_hybrid(planned),
         )
         assert_outputs_identical(serial_out, out)
 
     def test_rejects_incomplete_lanes(self, problem):
         a, grid = problem
         with pytest.raises(ValueError, match="exactly once"):
-            execute_chunk_grid(a, a, grid, lanes=[([0, 1], 1)])
+            execute_chunk_grid(a, a, grid,
+                               plan=ChunkPlan(lanes=(((0, 1), 1),)))
 
     def test_rejects_duplicate_lane_ids(self, problem):
         a, grid = problem
         ids = list(range(grid.num_chunks))
         with pytest.raises(ValueError, match="exactly once"):
-            execute_chunk_grid(a, a, grid, lanes=[(ids, 1), ([0], 1)])
-
-
-class TestProfileChunksDelegation:
-    def test_profile_chunks_parallel_matches_serial(self, problem):
-        """The public profiling entry point threads workers through."""
-        a, grid = problem
-        serial_profile, serial_out = profile_chunks(
-            a, a, grid, keep_outputs=True, name="x"
-        )
-        par_profile, par_out = profile_chunks(
-            a, a, grid, keep_outputs=True, name="x", workers=4
-        )
-        assert_outputs_identical(serial_out, par_out)
-        assert par_profile.name == "x"
-        assert par_profile.total_flops == serial_profile.total_flops
+            execute_chunk_grid(a, a, grid, plan=ChunkPlan(
+                lanes=((tuple(ids), 1), ((0,), 1))))

@@ -172,12 +172,13 @@ class TestAsyncSchedule:
             build_async_schedule(profile, cost, allocator="bogus")
 
     def test_single_chunk_workload(self, cost):
-        from repro.core.chunks import ChunkGrid, profile_chunks
+        from repro.core.chunks import ChunkGrid
+        from repro.core.executor import execute_chunk_grid
         from repro.sparse.generators import random_csr
 
         a = random_csr(40, 40, 200, seed=5)
         grid = ChunkGrid.regular(40, 40, 1, 1)
-        profile, _ = profile_chunks(a, a, grid)
+        profile, _ = execute_chunk_grid(a, a, grid)
         tl = build_async_schedule(profile, cost).run()
         assert tl.makespan() > 0
 

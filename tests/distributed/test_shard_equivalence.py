@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.core.chunks import ChunkGrid, chunk_flops
+from repro.core.governor import GovernorConfig
 from repro.distributed.shard import (
     ShardConfig,
     plan_shards,
@@ -110,7 +111,7 @@ class TestBackendKernelGrid:
         res = run_sharded(
             a, b,
             ShardConfig(num_shards=3, workers=2,
-                        host_mem_budget_bytes=1 << 26),
+                        governor=GovernorConfig(host_mem_budget_bytes=1 << 26)),
         )
         assert res.ledger_budget_bytes == 1 << 26
         assert res.ledger_peak_bytes > 0
@@ -183,8 +184,8 @@ class TestObservability:
 
     def test_trace_events_merge_streams(self, operands):
         a, b = operands
-        res = run_sharded(a, b, ShardConfig(num_shards=2,
-                                            host_mem_budget_bytes=1 << 26))
+        res = run_sharded(a, b, ShardConfig(
+            num_shards=2, governor=GovernorConfig(host_mem_budget_bytes=1 << 26)))
         assert set(res.tracers) == {"node", "shard0", "shard1"}
         events = res.trace_events()
         names = {e["args"]["name"] for e in events

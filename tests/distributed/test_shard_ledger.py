@@ -135,7 +135,7 @@ class TestSharedBudgetUnderConcurrency:
         res = run_sharded(
             a, b,
             ShardConfig(num_shards=3, workers=2, backend=backend,
-                        host_mem_budget_bytes=budget),
+                        governor=GovernorConfig(host_mem_budget_bytes=budget)),
             tracer=node_tracer,
         )
         assert_equals_scipy_product(res.matrix, a, b)
@@ -153,7 +153,7 @@ class TestSharedBudgetUnderConcurrency:
         a = rmat(7, 5.0, seed=73)
         res = run_sharded(
             a, a, ShardConfig(num_shards=2, workers=2,
-                              host_mem_budget_bytes=1),
+                              governor=GovernorConfig(host_mem_budget_bytes=1)),
         )
         assert_equals_scipy_product(res.matrix, a, a)
         assert res.ledger_overcommits > 0

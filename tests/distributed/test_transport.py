@@ -9,16 +9,26 @@ and timeline are measured rather than alpha-beta-modeled, and the
 remote failure path carries worker-side tracebacks home.
 """
 
+import socket
+
 import numpy as np
 import pytest
 
+from repro.core.executor import RetryPolicy
+from repro.core.governor import GovernorConfig
 from repro.distributed import (
     RemoteShardPool,
     ShardConfig,
     ShardedRunError,
     run_sharded,
 )
-from repro.distributed.transport import RemoteShardError
+from repro.distributed.transport import (
+    RemoteShardError,
+    recv_frame,
+    run_settings,
+    send_frame,
+    settings_record,
+)
 from repro.sparse.generators import random_csr, rmat
 from tests.conftest import assert_equals_scipy_product
 
@@ -192,3 +202,41 @@ class TestLocalErrorTracebacks:
         assert "InjectedFault" in err.tracebacks[0]
         assert "shard_main" in err.tracebacks[0] or \
             "execute_chunk_grid" in err.tracebacks[0]
+
+
+class TestRunSettingsOverTheWire:
+    def test_retry_and_governor_round_trip(self):
+        """Every RetryPolicy and GovernorConfig field survives frame
+        encode and decode under its own name."""
+        retry = RetryPolicy(max_attempts=3, base_delay=0.01, max_delay=0.02,
+                            backoff=3.0, jitter=0.0)
+        governor = GovernorConfig(deadline_seconds=30.0,
+                                  heartbeat_interval=0.5,
+                                  host_mem_budget_bytes=1 << 26,
+                                  device_pool_bytes=1 << 24,
+                                  max_resplit_depth=5)
+        config = {"workers": 2, "backend": "thread", "crash_budget": 1,
+                  "retry": settings_record(retry),
+                  "governor": settings_record(governor)}
+        node, worker = socket.socketpair()
+        with node, worker:
+            send_frame(node, "run", {"config": config})
+            frame = recv_frame(worker)
+        settings = run_settings(frame.meta["config"])
+        assert settings["retry"] == retry
+        assert settings["governor"].config == governor
+        assert (settings["workers"], settings["backend"],
+                settings["crash_budget"]) == (2, "thread", 1)
+
+    def test_custom_retryable_rejected_before_any_shard(self, operands):
+        """A predicate is code and cannot cross the wire: refuse it up
+        front instead of silently retrying under the default."""
+        class UntouchedPool:
+            def __getattr__(self, name):
+                raise AssertionError(f"a shard started: pool.{name}")
+
+        a, b = operands
+        retry = RetryPolicy(max_attempts=2, retryable=lambda exc: False)
+        with pytest.raises(ValueError, match="retryable"):
+            run_sharded(a, b, ShardConfig(num_shards=2, transport="socket"),
+                        retry=retry, worker_pool=UntouchedPool())

@@ -20,8 +20,10 @@ recovered worker is never re-killed — each scenario injects exactly
 one failure and must converge.
 """
 
+import os
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -47,6 +49,21 @@ def operands():
 def oracle(operands):
     a, b = operands
     return run_sharded(a, b, ShardConfig(num_shards=1)).matrix
+
+
+def processes_started_from(directory):
+    """PIDs of live processes whose command line names ``directory``."""
+    pids = []
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            cmdline = (entry / "cmdline").read_bytes()
+        except OSError:
+            continue
+        if directory.encode() in cmdline:
+            pids.append(int(entry.name))
+    return pids
 
 
 def socket_config(**kw):
@@ -80,6 +97,8 @@ class TestWorkerKill:
         a, b = operands
         before = leaked_shm()
         with RemoteShardPool.spawn(2, kind="unix") as pool:
+            socket_dir = os.path.dirname(
+                pool.workers[0].address.partition(":")[2])
             timer = threading.Timer(0.6, pool.kill_worker, args=(1,))
             timer.start()
             try:
@@ -100,6 +119,14 @@ class TestWorkerKill:
         assert_equals_scipy_product(res.matrix, a, b)
         time.sleep(0.2)
         assert leaked_shm() == before
+        # the killed worker's process-pool children inherit its command
+        # line; they must notice the orphaning and exit, not outlive the
+        # pool blocked on their task queue
+        deadline = time.monotonic() + 10.0
+        while (processes_started_from(socket_dir)
+               and time.monotonic() < deadline):
+            time.sleep(0.1)
+        assert processes_started_from(socket_dir) == []
 
     def test_no_survivors_degrades_to_local(self, operands, oracle):
         """With every worker dead the span re-places in-process — loudly

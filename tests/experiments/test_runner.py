@@ -187,6 +187,32 @@ class TestKernelKeyedProfiles:
         assert json.loads(path.read_text())["kernel"] != "some-retired-kernel"
         self._fresh(tmp_path, monkeypatch)
 
+    def test_mismatch_reported_stale_garbage_corrupt(self, tmp_path,
+                                                     monkeypatch):
+        """A readable entry from another kernel is stale, not corrupt;
+        "corrupt" stays reserved for unreadable files."""
+        import json
+
+        self._fresh(tmp_path, monkeypatch)
+        runner.get_profile_for_grid("stokes", 2, 2)
+        path = tmp_path / ".cache" / "profile_stokes_2x2.json"
+        payload = json.loads(path.read_text())
+        payload["kernel"] = "some-retired-kernel"
+        path.write_text(json.dumps(payload))
+        runner._profile_cache.clear()
+        with pytest.warns(RuntimeWarning,
+                          match="discarding stale cache file") as record:
+            runner.get_profile_for_grid("stokes", 2, 2)
+        assert not any("corrupt" in str(w.message) for w in record)
+
+        path.write_text("{truncated")
+        runner._profile_cache.clear()
+        with pytest.warns(RuntimeWarning,
+                          match="discarding corrupt cache file") as record:
+            runner.get_profile_for_grid("stokes", 2, 2)
+        assert not any("stale" in str(w.message) for w in record)
+        self._fresh(tmp_path, monkeypatch)
+
     def test_pre_kernel_entry_invalidated(self, tmp_path, monkeypatch):
         """Entries from before kernel keying (no "kernel" field) are
         treated as stale, not trusted."""

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core.chunks import ChunkGrid, profile_chunks
+from repro.core.chunks import ChunkGrid
+
+from repro.core.executor import execute_chunk_grid
 from repro.device.kernels import default_cost_model
 from repro.device.specs import v100_node
 from repro.metrics import (
@@ -18,7 +20,7 @@ from repro.sparse.generators import rmat
 def measured_profile():
     a = rmat(9, 8.0, seed=42)
     grid = ChunkGrid.regular(a.n_rows, a.n_cols, 2, 2)
-    profile, _ = profile_chunks(a, a, grid, name="me")
+    profile, _ = execute_chunk_grid(a, a, grid, name="me")
     return profile
 
 

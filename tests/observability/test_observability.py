@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core.chunks import ChunkGrid
-from repro.core.parallel import execute_chunk_grid
+from repro.core.executor import execute_chunk_grid
 from repro.observability import (
     MEASURED_PID,
     NULL_TRACER,
@@ -223,11 +223,11 @@ class TestChromeExport:
 
     def test_simulated_timeline_as_sibling_process(self, problem):
         from repro.core.api import simulate_out_of_core
-        from repro.core.chunks import profile_chunks
+        from repro.core.executor import execute_chunk_grid
         from repro.core.schedule import export_chrome_events
 
         a, grid = problem
-        profile, _ = profile_chunks(a, a, grid, name="sim")
+        profile, _ = execute_chunk_grid(a, a, grid, name="sim")
         result = simulate_out_of_core(profile)
         events = export_chrome_events(result.timeline)
         validate_chrome_trace(events)

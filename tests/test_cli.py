@@ -211,16 +211,16 @@ class TestBenchRepeats:
         """``--repeats N`` re-measures the wall clock only: exactly one
         outputs-kept profiled run per (matrix, config), plus ``N - 1``
         timing-only repeats — not N full output-keeping runs."""
-        import repro.core.chunks as chunks_mod
+        import repro.core.executor as executor_mod
 
         calls = []
-        real = chunks_mod.profile_chunks
+        real = executor_mod.execute_chunk_grid
 
         def counting(*args, **kwargs):
             calls.append(bool(kwargs.get("keep_outputs")))
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(chunks_mod, "profile_chunks", counting)
+        monkeypatch.setattr(executor_mod, "execute_chunk_grid", counting)
         repeats = 3
         assert main(["bench", "--matrices", "stokes", "--workers", "2",
                      "--grid", "2", "--repeats", str(repeats),
