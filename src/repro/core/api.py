@@ -306,11 +306,14 @@ def run_hybrid(
     ``tracer`` records both lanes' spans under their lane names
     ("gpu" / "cpu")."""
     node = _resolve_node(node)
+    flops = None
     if grid is None:
-        grid = plan_grid(a, b, node).grid
+        report = plan_grid(a, b, node)
+        grid, flops = report.grid, report.flops
     plan = ChunkPlan(kernel=resolve_kernel(kernel))
     if workers > 1:
-        hybrid = plan_hybrid_lanes(chunk_flops(a, b, grid), workers, ratio)
+        flops = chunk_flops(a, b, grid) if flops is None else flops
+        hybrid = plan_hybrid_lanes(flops, workers, ratio)
         plan = ChunkPlan.from_hybrid(hybrid, kernel=plan.kernel)
     profile, outputs = execute_chunk_grid(
         a, b, grid, keep_outputs=keep_output, name=name, window=window,

@@ -7,8 +7,8 @@ ordering (Section IV.C), hybrid assignment (Algorithm 4) — are made on
 per-chunk workload statistics:
 
 * ``flops`` is computable *before* any SpGEMM runs (Algorithm 4 lines
-  6-13, ``GetFlops``), and :func:`chunk_flops` computes the whole grid's
-  flop matrix in one vectorized pass;
+  6-13, ``GetFlops``): one exact :func:`count_table` per row partition
+  makes the flop matrix of *any* column partition a prefix-sum lookup;
 * output nnz/bytes are known only after the chunk's kernel has executed;
   :func:`~repro.core.executor.execute_chunk_grid` runs the real kernels
   once and records everything,
@@ -24,7 +24,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..sparse.formats import CSRMatrix
-from ..sparse.partition import build_col_offsets, panel_boundaries
+from ..sparse.partition import panel_boundaries
 from ..spgemm.flops import compression_ratio
 
 __all__ = [
@@ -33,6 +33,8 @@ __all__ = [
     "ChunkStats",
     "ChunkProfile",
     "chunk_flops",
+    "count_table",
+    "table_flops",
 ]
 
 #: the serialized fields of :class:`ChunkStats`, in order — shared by the
@@ -230,21 +232,32 @@ class ChunkProfile:
         )
 
 
+def count_table(a: CSRMatrix, b: CSRMatrix, row_bounds: np.ndarray) -> np.ndarray:
+    """``table[j, p]``: how many products of ``A x B`` from row panel ``p``
+    land in output columns ``< j`` (int64, ``(n_cols(B) + 1, r)``).  It is
+    the cumulative sum of ``pattern(B)^T @ U``, with ``U`` the histogram of
+    A's column ids per row panel."""
+    import scipy.sparse as sp  # deferred: keeps it out of shard-worker start-up
+
+    r = row_bounds.size - 1
+    offsets = a.row_offsets[row_bounds]
+    hist = np.empty((b.n_rows, r), dtype=np.int64)
+    for p in range(r):
+        hist[:, p] = np.bincount(a.col_ids[offsets[p]:offsets[p + 1]], minlength=b.n_rows)
+    pattern_t = sp.csc_matrix((np.ones(b.nnz, dtype=np.int64), b.col_ids, b.row_offsets),
+                              shape=(b.n_cols, b.n_rows))
+    table = np.zeros((b.n_cols + 1, r), dtype=np.int64)
+    np.cumsum(pattern_t @ hist, axis=0, out=table[1:])
+    return table
+
+
+def table_flops(table: np.ndarray, col_bounds: np.ndarray) -> np.ndarray:
+    """The ``(num_row_panels, num_col_panels)`` int64 flop matrix of the
+    column partition ``col_bounds``, read off a :func:`count_table`."""
+    return 2 * np.ascontiguousarray(np.diff(table[col_bounds], axis=0).T)
+
+
 def chunk_flops(a: CSRMatrix, b: CSRMatrix, grid: ChunkGrid) -> np.ndarray:
-    """Flops of every chunk, vectorized (``GetFlops`` for the whole grid).
-
-    Result is a ``(num_row_panels, num_col_panels)`` int64 matrix.  Uses
-    the ``col_offset`` split structure: nnz of each B row restricted to
-    each column panel, gathered per A element, segment-summed per row
-    panel.
-    """
-    splits = build_col_offsets(b, grid.col_bounds)
-    per_row_per_panel = np.diff(splits, axis=1)  # (n_rows_B, num_col_panels)
-    per_elem = per_row_per_panel[a.col_ids, :]   # (nnz_A, num_col_panels)
-
-    out = np.zeros((grid.num_row_panels, grid.num_col_panels), dtype=np.int64)
-    for rp in range(grid.num_row_panels):
-        lo = int(a.row_offsets[grid.row_bounds[rp]])
-        hi = int(a.row_offsets[grid.row_bounds[rp + 1]])
-        out[rp, :] = per_elem[lo:hi, :].sum(axis=0)
-    return 2 * out
+    """Flops of every chunk (``GetFlops`` for the whole grid), as a
+    ``(num_row_panels, num_col_panels)`` int64 matrix."""
+    return table_flops(count_table(a, b, grid.row_bounds), grid.col_bounds)

@@ -104,16 +104,9 @@ def chunk_output_estimates(a, b, grid, estimate=None) -> List[int]:
         return [int(x) for x in estimate_chunks(a, b, grid, estimate).host_bytes()]
 
     products = chunk_flops(a, b, grid) // 2  # flops = 2 x products
-    row_counts = np.diff(grid.row_bounds)
-    col_widths = np.diff(grid.col_bounds)
-    estimates = []
-    for rp in range(grid.num_row_panels):
-        rows = int(row_counts[rp])
-        for cp in range(grid.num_col_panels):
-            dense = rows * int(col_widths[cp])
-            nnz_bound = min(int(products[rp, cp]), dense)
-            estimates.append(csr_bytes(rows, nnz_bound))
-    return estimates
+    rows = np.diff(grid.row_bounds)[:, None]
+    dense = rows * np.diff(grid.col_bounds)[None, :]
+    return csr_bytes(rows, np.minimum(products, dense)).ravel().tolist()
 
 
 def flops_desc_order(flops_flat: np.ndarray) -> List[int]:

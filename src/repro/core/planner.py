@@ -11,18 +11,24 @@ so the planner returns the coarsest grid that fits.
 
 With asynchronous double buffering, *two* chunks are in flight at once,
 so the chunk budget is halved.
+
+The search builds one exact :func:`~repro.core.chunks.count_table` per
+row-panel count it reaches; every column count's flops are then prefix-sum
+lookups, and the chosen grid's flop matrix rides along on the report.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
+import functools
+from dataclasses import dataclass, field
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from ..device.specs import NodeSpec
 from ..sparse.formats import CSRMatrix
-from .chunks import BYTES_PER_ELEM, ChunkGrid, chunk_flops, csr_bytes
+from ..sparse.partition import panel_boundaries
+from .chunks import BYTES_PER_ELEM, ChunkGrid, chunk_flops, count_table, csr_bytes, table_flops
 
 __all__ = [
     "PlanReport",
@@ -52,6 +58,8 @@ class PlanReport:
     #: True when chunk footprints were sized from a sampled estimate
     #: (UB-ceilinged) rather than the raw flops upper bound
     estimated: bool = False
+    #: the grid's flop matrix, as :func:`~repro.core.chunks.chunk_flops` returns it
+    flops: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
 
     @property
     def fits(self) -> bool:
@@ -98,32 +106,64 @@ def estimated_chunk_footprint_bytes(rows: int, nnz_hi: float) -> int:
     """Device bytes to produce one chunk when intermediates and output
     are sized from a sampled nnz estimate (OCEAN) instead of the flops
     upper bound.  Callers must still apply the UB ceiling."""
-    nnz = int(np.ceil(nnz_hi))
+    nnz = np.ceil(nnz_hi).astype(np.int64)
     return nnz * INTERMEDIATE_BYTES_PER_PRODUCT + csr_bytes(rows, nnz)
 
 
-def _worst_chunk(a: CSRMatrix, b: CSRMatrix, grid: ChunkGrid, estimate=None) -> int:
-    flops = chunk_flops(a, b, grid)
+def _chunk_budget(a: CSRMatrix, b: CSRMatrix, node: NodeSpec, safety: float,
+                  buffers: int, num_col_panels: int) -> int:
+    """Device bytes per in-flight chunk once the inputs are resident."""
+    free = node.gpu.device_memory_bytes - resident_input_bytes(a, b, num_col_panels)
+    return int(free * safety) // max(buffers, 1)
+
+
+def _worst_chunk(rows: np.ndarray, flops: np.ndarray, chunk_est=None) -> int:
+    """Largest chunk footprint over a grid's ``(r, c)`` flop matrix (panel
+    heights ``rows``); a sampled ``chunk_est`` only ever *tightens* it."""
+    footprint = chunk_footprint_bytes(rows[:, None], flops)
+    if chunk_est is not None:
+        footprint = np.minimum(
+            footprint, estimated_chunk_footprint_bytes(rows[:, None], chunk_est.nnz_hi))
+    return int(footprint.max())
+
+
+def _grid_costs(a: CSRMatrix, b: CSRMatrix, grid: ChunkGrid, estimate=None):
+    """``(worst chunk bytes, flop matrix)`` of one explicit grid."""
     chunk_est = None
-    if estimate is not None:
+    if estimate is None:
+        flops = chunk_flops(a, b, grid)
+    else:
         from ..spgemm.estimate import estimate_chunks  # deferred: cycle
 
         chunk_est = estimate_chunks(a, b, grid, estimate)
-    worst = 0
-    for rp in range(grid.num_row_panels):
-        rows = int(grid.row_bounds[rp + 1] - grid.row_bounds[rp])
-        for cp in range(grid.num_col_panels):
-            footprint = chunk_footprint_bytes(rows, int(flops[rp, cp]))
-            if chunk_est is not None:
-                # the estimate only ever *tightens* the upper bound
-                footprint = min(
-                    footprint,
-                    estimated_chunk_footprint_bytes(
-                        rows, float(chunk_est.nnz_hi[rp, cp])
-                    ),
-                )
-            worst = max(worst, footprint)
-    return worst
+        flops = 2 * chunk_est.products  # the same exact sums as chunk_flops
+    return _worst_chunk(np.diff(grid.row_bounds), flops, chunk_est), flops
+
+
+def _costs_by_cols(a: CSRMatrix, b: CSRMatrix, r: int, max_c: int, budget_for) -> dict:
+    """``{c: (worst chunk bytes, flop matrix)}`` of the balanced ``r x c``
+    grids, from one count table; grids that miss the budget keep no flops."""
+    row_bounds = panel_boundaries(a.n_rows, r)
+    table = count_table(a, b, row_bounds)
+    costs = {}
+    for c in range((r + 3) // 4, max_c + 1):
+        flops = table_flops(table, panel_boundaries(b.n_cols, c))
+        worst = _worst_chunk(np.diff(row_bounds), flops)
+        costs[c] = (worst, flops if worst <= budget_for(c) else None)
+    return costs
+
+
+@functools.lru_cache(maxsize=None)
+def _candidate_shapes(max_panels: int) -> Tuple[Tuple[int, int], ...]:
+    """Grid shapes ``(r, c)`` by increasing chunk count, the most balanced
+    first.  Rectangles matter: for band-structured matrices, splitting rows
+    harder than columns shrinks the worst chunk at the same chunk count."""
+    return tuple((r, c) for _, _, r, c in sorted(
+        (r * c, abs(r - c), r, c)
+        for r in range(1, max_panels + 1)
+        for c in range(1, max_panels + 1)
+        if max(r, c) <= 4 * min(r, c)  # keep panel grids balanced
+    ))
 
 
 def plan_grid(
@@ -151,44 +191,23 @@ def plan_grid(
     """
     if not 0 < safety <= 1:
         raise ValueError("safety must be in (0, 1]")
-
-    # try grids in increasing chunk count; among equal counts prefer the
-    # most balanced shape.  Rectangular shapes matter: for band-structured
-    # matrices, splitting rows harder than columns shrinks the worst chunk
-    # at the same chunk count (off-band chunks are empty anyway).
-    candidates = sorted(
-        (r * c, abs(r - c), r, c)
-        for r in range(1, max_panels + 1)
-        for c in range(1, max_panels + 1)
-        if max(r, c) <= 4 * min(r, c)  # keep panel grids balanced
-    )
-
+    budget_for = functools.partial(_chunk_budget, a, b, node, safety, buffers)
+    by_rows = {}  # row-panel count -> _costs_by_cols
     last_report = None
-    for _, _, r, c in candidates:
-        if r > a.n_rows or c > b.n_cols:
+    for r, c in _candidate_shapes(max_panels):
+        if r > a.n_rows or c > b.n_cols or budget_for(c) <= 0:
             continue
-        resident = resident_input_bytes(a, b, c)
-        free = node.gpu.device_memory_bytes - resident
-        budget = int(free * safety) // max(buffers, 1)
-        if budget <= 0:
-            continue
-        grid = ChunkGrid.regular(a.n_rows, b.n_cols, r, c)
-        worst = _worst_chunk(a, b, grid, estimate)
-        last_report = PlanReport(
-            grid=grid,
-            worst_chunk_bytes=worst,
-            budget_bytes=budget,
-            device_memory=node.gpu.device_memory_bytes,
-            buffers=buffers,
-            safety=safety,
-            estimated=estimate is not None,
-        )
-        if worst <= budget:
+        if estimate is None and r not in by_rows:
+            by_rows[r] = _costs_by_cols(a, b, r, min(4 * r, max_panels, b.n_cols), budget_for)
+        last_report = _report_for_grid(
+            a, b, node, ChunkGrid.regular(a.n_rows, b.n_cols, r, c), estimate,
+            safety=safety, buffers=buffers, costs=by_rows.get(r, {}).get(c))
+        if last_report.fits:
             return last_report
-    raise ValueError(
-        f"no grid up to {max_panels}x{max_panels} fits the device budget; "
-        f"last candidate: {last_report}"
-    )
+    detail = (f"last candidate: {last_report}" if last_report is not None else
+              f"the resident inputs alone take {resident_input_bytes(a, b, 1)} "
+              f"of the {node.gpu.device_memory_bytes} device bytes")
+    raise ValueError(f"no grid up to {max_panels}x{max_panels} fits the device budget; {detail}")
 
 
 @dataclass(frozen=True)
@@ -217,16 +236,15 @@ def _report_for_grid(
     *,
     safety: float,
     buffers: int,
+    costs=None,
 ) -> Optional[PlanReport]:
-    """Price an explicit grid shape; None when it misses the budget."""
-    resident = resident_input_bytes(a, b, grid.num_col_panels)
-    free = node.gpu.device_memory_bytes - resident
-    budget = int(free * safety) // max(buffers, 1)
+    """Price an explicit grid shape (``costs`` when already known, as
+    :func:`_grid_costs` returns them); None when the inputs leave no
+    chunk budget."""
+    budget = _chunk_budget(a, b, node, safety, buffers, grid.num_col_panels)
     if budget <= 0:
         return None
-    worst = _worst_chunk(a, b, grid, estimate)
-    if worst > budget:
-        return None
+    worst, flops = costs if costs is not None else _grid_costs(a, b, grid, estimate)
     return PlanReport(
         grid=grid,
         worst_chunk_bytes=worst,
@@ -235,6 +253,7 @@ def _report_for_grid(
         buffers=buffers,
         safety=safety,
         estimated=estimate is not None,
+        flops=flops,
     )
 
 
@@ -263,7 +282,7 @@ def _candidate_reports(
     shapes = set()
 
     def add(report: Optional[PlanReport]) -> None:
-        if report is None:
+        if report is None or not report.fits:
             return
         shape = (report.grid.num_row_panels, report.grid.num_col_panels)
         if shape not in shapes:
@@ -284,7 +303,7 @@ def _candidate_reports(
         grid = ChunkGrid.regular(a.n_rows, b.n_cols, r, 1)
         report = _report_for_grid(a, b, node, grid, estimate,
                                   safety=safety, buffers=buffers)
-        if report is not None:
+        if report is not None and report.fits:
             r0 = r
             add(report)
             break

@@ -46,6 +46,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 from dataclasses import dataclass, field
 from threading import Lock
 from typing import Callable, Dict, List, Optional, Sequence, Set
@@ -230,6 +231,8 @@ class RemoteShardPool:
         #: declared permanently lost — the serve scheduler hooks this to
         #: steer new jobs away from the dead shard
         self.on_worker_lost: Optional[Callable[[int, str], None]] = None
+        #: times that hook raised; the worker is still marked lost
+        self.hook_errors = 0
 
     # ------------------------------------------------------------------
     # construction
@@ -330,8 +333,10 @@ class RemoteShardPool:
         if self.on_worker_lost is not None:
             try:
                 self.on_worker_lost(worker.worker_id, reason)
-            except Exception:
-                pass
+            except Exception as exc:
+                self.hook_errors += 1
+                warnings.warn(f"on_worker_lost hook failed for worker {worker.worker_id}: "
+                              f"{exc!r}", RuntimeWarning, stacklevel=2)
 
     # ------------------------------------------------------------------
     # chaos / lifecycle

@@ -2,9 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.chunks import ChunkGrid, ChunkProfile, chunk_flops, csr_bytes
+from repro.core.chunks import (
+    ChunkGrid, ChunkProfile, chunk_flops, count_table, csr_bytes, table_flops,
+)
 from repro.sparse.generators import random_csr
+from repro.sparse.partition import panel_boundaries
 from repro.spgemm.flops import total_flops
 from repro.spgemm.reference import spgemm_scipy
 
@@ -44,6 +49,51 @@ class TestChunkFlops:
         a = random_csr(10, 10, 30, seed=81)
         g = ChunkGrid.regular(10, 10, 1, 1)
         assert chunk_flops(a, a, g)[0, 0] == total_flops(a, a)
+
+
+@st.composite
+def products_and_grids(draw):
+    """Rectangular A x B with arbitrary panel cuts (empty panels too)."""
+    m, k, n = (draw(st.integers(1, 24)) for _ in range(3))
+    a = random_csr(m, k, draw(st.integers(0, 3 * m)), seed=draw(st.integers(0, 9999)))
+    b = random_csr(k, n, draw(st.integers(0, 3 * k)), seed=draw(st.integers(0, 9999)))
+
+    def bounds(size):
+        cuts = draw(st.lists(st.integers(0, size), min_size=0, max_size=8))
+        return np.array([0, *sorted(cuts), size], dtype=np.int64)
+
+    return a, b, ChunkGrid(row_bounds=bounds(m), col_bounds=bounds(n))
+
+
+def brute_force_flops(a, b, grid):
+    """Expand every (A element, B element) product and bin it by chunk."""
+    out = np.zeros((grid.num_row_panels, grid.num_col_panels), dtype=np.int64)
+    for i in range(a.n_rows):
+        rp = np.searchsorted(grid.row_bounds, i, side="right") - 1
+        for k in a.col_ids[a.row_offsets[i]:a.row_offsets[i + 1]]:
+            for j in b.col_ids[b.row_offsets[k]:b.row_offsets[k + 1]]:
+                out[rp, np.searchsorted(grid.col_bounds, j, side="right") - 1] += 2
+    return out
+
+
+class TestCountTable:
+    @given(case=products_and_grids())
+    @settings(max_examples=150, deadline=None)
+    def test_chunk_flops_equals_brute_force(self, case):
+        a, b, grid = case
+        got = chunk_flops(a, b, grid)
+        assert got.dtype == np.int64 and got.flags.c_contiguous
+        np.testing.assert_array_equal(got, brute_force_flops(a, b, grid))
+
+    def test_one_table_prices_every_column_partition(self):
+        a = random_csr(30, 20, 90, seed=5)
+        b = random_csr(20, 40, 70, seed=6)
+        for r in range(1, 10):
+            table = count_table(a, b, panel_boundaries(a.n_rows, r))
+            for c in range(1, 10):
+                grid = ChunkGrid.regular(a.n_rows, b.n_cols, r, c)
+                np.testing.assert_array_equal(
+                    table_flops(table, grid.col_bounds), brute_force_flops(a, b, grid))
 
 
 class TestProfile:

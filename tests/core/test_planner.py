@@ -1,5 +1,6 @@
 """Tests for panel-count planning."""
 
+import numpy as np
 import pytest
 
 from repro.core.planner import (
@@ -49,6 +50,48 @@ class TestPlanGrid:
         with pytest.raises(ValueError, match="no grid"):
             plan_grid(matrix, matrix, v100_node(1 << 20), max_panels=4)
 
+    def test_resident_inputs_over_device_named(self):
+        m = banded(n=2000, bandwidth=5, fill=0.5, seed=1)
+        with pytest.raises(ValueError, match=(
+            r"^no grid up to 64x64 fits the device budget; the resident "
+            r"inputs alone take \d+ of the 1000 device bytes$"
+        )):
+            plan_grid(m, m, v100_node(1000))
+
+    def test_no_per_candidate_recount(self, matrix, monkeypatch):
+        """Grid search reads one count table per row count; it never
+        re-splits B per candidate grid."""
+        import sys
+
+        import repro.sparse.partition as partition
+
+        calls = []
+        real = partition.build_col_offsets
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        # every module that bound the name, not just its home module
+        for name, module in list(sys.modules.items()):
+            if name.startswith("repro") and getattr(
+                    module, "build_col_offsets", None) is real:
+                monkeypatch.setattr(module, "build_col_offsets", counted)
+        report = plan_grid(matrix, matrix, v100_node(8 << 20))
+        assert report.grid.num_chunks == 16
+        assert calls == []
+
+    def test_report_carries_chunk_flops(self, matrix):
+        from repro.core.chunks import chunk_flops
+        from repro.spgemm.estimate import estimate_row_nnz
+
+        for estimate in (None, estimate_row_nnz(matrix, matrix, seed=0)):
+            report = plan_grid(matrix, matrix, v100_node(8 << 20),
+                               estimate=estimate)
+            expect = chunk_flops(matrix, matrix, report.grid)
+            assert report.flops.dtype == expect.dtype
+            np.testing.assert_array_equal(report.flops, expect)
+
     def test_banded_prefers_valid_rectangles(self):
         m = banded(2000, 6, seed=1, fill=0.8)
         report = plan_grid(m, m, v100_node(8 << 20))
@@ -79,16 +122,13 @@ class TestEstimatedPlanning:
 
     def test_estimate_never_coarsens_past_ub_ceiling(self):
         """Estimated worst-chunk bytes are capped by the UB footprint."""
-        from repro.core.planner import (
-            _worst_chunk,
-            estimated_chunk_footprint_bytes,
-        )
+        from repro.core.planner import _grid_costs
         from repro.core.chunks import ChunkGrid
 
         m = rmat(10, 8.0, seed=91)
         grid = ChunkGrid.regular(m.n_rows, m.n_cols, 3, 3)
-        with_est = _worst_chunk(m, m, grid, self._est(m))
-        without = _worst_chunk(m, m, grid)
+        with_est, _ = _grid_costs(m, m, grid, self._est(m))
+        without, _ = _grid_costs(m, m, grid)
         assert with_est <= without
 
     def test_estimated_grid_no_finer_than_ub_grid(self):
@@ -150,3 +190,32 @@ class TestPlanAutotuned:
         assert np.array_equal(c0.row_offsets, c1.row_offsets)
         assert np.array_equal(c0.col_ids, c1.col_ids)
         assert np.array_equal(c0.data, c1.data)
+
+
+#: grid shapes chosen at the time planning moved to count tables, on
+#: every suite matrix: (UB grid, grid with estimate_row_nnz(seed=0))
+PINNED_GRIDS = {
+    "lj2008": ((9, 3), (4, 4)),
+    "com-lj": ((4, 8), (4, 4)),
+    "soc-lj": ((4, 6), (4, 4)),
+    "stokes": ((2, 5), (1, 3)),
+    "uk-2002": ((2, 5), (1, 2)),
+    "wiki0206": ((4, 4), (4, 2)),
+    "nlp": ((2, 5), (1, 1)),
+    "wiki1104": ((4, 4), (4, 2)),
+    "wiki0925": ((4, 4), (2, 4)),
+}
+
+
+@pytest.mark.parametrize("abbr", sorted(PINNED_GRIDS))
+def test_suite_grid_choices_pinned(abbr):
+    from repro.experiments.runner import get_matrix, get_node
+    from repro.spgemm.estimate import estimate_row_nnz
+
+    m, node = get_matrix(abbr), get_node(abbr)
+    shapes = tuple(
+        (rep.grid.num_row_panels, rep.grid.num_col_panels)
+        for rep in (plan_grid(m, m, node),
+                    plan_grid(m, m, node, estimate=estimate_row_nnz(m, m, seed=0)))
+    )
+    assert shapes == PINNED_GRIDS[abbr]

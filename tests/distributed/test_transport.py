@@ -18,6 +18,7 @@ from repro.core.executor import RetryPolicy
 from repro.core.governor import GovernorConfig
 from repro.distributed import (
     RemoteShardPool,
+    RemoteWorker,
     ShardConfig,
     ShardedRunError,
     run_sharded,
@@ -189,6 +190,20 @@ class TestRemoteFailurePath:
                           ShardConfig(num_shards=2, transport="socket"),
                           worker_pool=unix_pool)
         assert res.matrix is not None
+
+
+class TestLostWorkerHook:
+    def test_raising_hook_is_counted_and_warned(self):
+        pool = RemoteShardPool([RemoteWorker(7, "unix:/nonexistent")])
+
+        def hook(worker_id, reason):
+            raise KeyError("placement table")
+
+        pool.on_worker_lost = hook
+        with pytest.warns(RuntimeWarning, match=r"worker 7: KeyError"):
+            pool.mark_lost(pool.workers[0], "reconnect budget exhausted")
+        assert pool.workers[0].alive is False
+        assert pool.hook_errors == 1
 
 
 class TestLocalErrorTracebacks:
