@@ -26,8 +26,8 @@ Commands
     (``BENCH_parallel.json``) for cross-PR perf trajectories.  Flags
     single-core hosts, where "speedup" only measures overhead.
 ``kernel-bench [--matrices ...] [--kernels ...] [--repeats N] [--out FILE]``
-    Single-thread shoot-out of the accumulator kernels (hash / dense /
-    esc / merge / native) with cross-kernel equivalence checks; writes
+    Single-thread shoot-out of the kernels (esc / native) with
+    cross-kernel bit-identity and scipy checks; writes
     ``BENCH_kernels.json`` and exits nonzero on any equivalence failure.
 ``trace MATRIX [--mode ...] [--workers N] [--backend ...] [--trace-out FILE]``
     Run the real pipeline under the tracer and export a Chrome-trace JSON
@@ -104,9 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="chunk executor backend (default: serial for "
                             "--workers 1, thread otherwise)")
     p_mul.add_argument("--kernel", choices=list(KERNEL_KINDS), default=None,
-                       help="SpGEMM accumulator kernel (default: auto — "
-                            "native C when buildable, else a dense/esc "
-                            "split; see docs/KERNELS.md)")
+                       help="SpGEMM kernel (default: auto — native C "
+                            "when buildable, else esc; see docs/KERNELS.md)")
     p_mul.add_argument("--retries", type=_positive_int, default=1,
                        metavar="N",
                        help="max attempts per chunk (default 1 = no retry)")
@@ -157,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "median wall times are reported, speedup uses "
                              "the mins (default 3)")
     p_bench.add_argument("--kernel", choices=list(KERNEL_KINDS), default=None,
-                        help="SpGEMM accumulator kernel for every timed run "
+                        help="SpGEMM kernel for every timed run "
                              "(default: auto)")
     p_bench.add_argument("--autotune", action="store_true",
                         help="also time a serial run whose grid, kernel, and "
@@ -187,8 +186,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_kb = sub.add_parser(
         "kernel-bench",
-        help="single-thread kernel shoot-out: time every accumulator "
-             "kernel on whole matrices and verify cross-kernel equivalence")
+        help="single-thread kernel shoot-out: time every kernel on whole "
+             "matrices and verify cross-kernel and scipy equivalence")
     p_kb.add_argument("--matrices", default="stokes,nlp",
                       help="comma-separated suite names/abbrs or .npz/.mtx paths")
     p_kb.add_argument("--kernels", default="all",
@@ -214,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="chunk executor backend; process-backend worker "
                            "spans are merged into the exported trace")
     p_tr.add_argument("--kernel", choices=list(KERNEL_KINDS), default=None,
-                      help="SpGEMM accumulator kernel (kernel and per-stage "
+                      help="SpGEMM kernel (kernel and per-stage "
                            "throughput gauges land in the exported trace)")
     p_tr.add_argument("--window", type=_positive_int, default=None,
                       help="bounded in-flight window (default: 2 x workers)")
@@ -983,16 +982,16 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_kernel_bench(args) -> int:
-    """Single-thread shoot-out of the accumulator kernels -> JSON record.
+    """Single-thread shoot-out of the kernels -> JSON record.
 
     Every requested kernel multiplies each matrix by itself through
     :func:`~repro.spgemm.twophase.spgemm_twophase` (whole matrix, one
-    thread — the per-kernel number parallel speedups build on), and every
-    product is checked against the ``hash`` kernel's: ``hash`` / ``dense``
-    / ``esc`` / ``native`` / ``auto`` sum duplicates in the same expansion
-    order and must be **bit-identical**; ``merge`` combines in tree order
-    and is held to ``allclose`` (see docs/KERNELS.md).  Any equivalence
-    failure makes the command exit nonzero, so CI can gate on it.
+    thread — the per-kernel number parallel speedups build on).  Every
+    product must be **bit-identical** to the ``esc`` kernel's (all kernels
+    sum duplicates in the same expansion order, see docs/KERNELS.md) and
+    allclose to scipy's ``A @ A`` (recorded as ``scipy_allclose``).  Any
+    failure of either check makes the command exit nonzero, so CI can
+    gate on it.
     """
     import json
     import statistics
@@ -1000,13 +999,11 @@ def _cmd_kernel_bench(args) -> int:
 
     import numpy as np
 
+    from .sparse.ops import drop_explicit_zeros
     from .spgemm.flops import total_flops
     from .spgemm.native import native_available, native_build_error
+    from .spgemm.reference import spgemm_scipy
     from .spgemm.twophase import spgemm_twophase
-
-    # kernels whose products must be byte-identical to hash's (same
-    # ascending-k duplicate-combination order); merge is tree-order
-    exact = {"hash", "dense", "esc", "native", "auto"}
 
     if args.kernels.strip() == "all":
         kernels = [k for k in KERNEL_KINDS if k != "auto"]
@@ -1032,7 +1029,8 @@ def _cmd_kernel_bench(args) -> int:
     for spec in names:
         a = _load_matrix(spec)
         flops = total_flops(a, a)
-        ref = spgemm_twophase(a, a, kernel="hash").matrix
+        ref = spgemm_twophase(a, a, kernel="esc").matrix
+        expected = spgemm_scipy(a, a)
         rows = {}
         for kind in kernels:
             times = []
@@ -1042,32 +1040,29 @@ def _cmd_kernel_bench(args) -> int:
                 result = spgemm_twophase(a, a, kernel=kind)
                 times.append(time.perf_counter() - t0)
             c = result.matrix
-            structure_ok = (
+            equivalent = (
                 np.array_equal(ref.row_offsets, c.row_offsets)
                 and np.array_equal(ref.col_ids, c.col_ids)
+                and np.array_equal(ref.data, c.data)
             )
-            if kind in exact:
-                policy = "bit_identical"
-                equivalent = structure_ok and np.array_equal(ref.data, c.data)
-            else:
-                policy = "allclose"
-                equivalent = structure_ok and np.allclose(
-                    ref.data, c.data, rtol=1e-10, atol=1e-12)
-            if not equivalent:
+            scipy_ok = drop_explicit_zeros(c).allclose(
+                expected, rtol=1e-9, atol=1e-12)
+            if not (equivalent and scipy_ok):
                 failures += 1
             best = min(times)
             rows[kind] = {
                 "min_seconds": best,
                 "median_seconds": statistics.median(times),
                 "gflops": flops / best / 1e9 if best > 0 else 0.0,
-                "equivalence_policy": policy,
+                "equivalence_policy": "bit_identical",
                 "equivalent": bool(equivalent),
+                "scipy_allclose": bool(scipy_ok),
             }
             print(
                 f"{spec:<10} {kind:<7} min {best * 1e3:8.1f} ms  "
                 f"median {statistics.median(times) * 1e3:8.1f} ms  "
                 f"{rows[kind]['gflops']:7.4f} GFLOP/s  "
-                f"{policy}={equivalent}"
+                f"bit_identical={equivalent} scipy_allclose={scipy_ok}"
             )
         runs.append({
             "matrix": spec,
@@ -1079,7 +1074,7 @@ def _cmd_kernel_bench(args) -> int:
 
     payload = {
         "bench": "kernel_shootout",
-        "reference_kernel": "hash",
+        "reference_kernel": "esc",
         "native_available": bool(native_available()),
         "repeats": repeats,
         "units": {

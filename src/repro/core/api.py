@@ -54,7 +54,7 @@ def _resolve_cost(node: NodeSpec, cost: Optional[CostModel]) -> CostModel:
 def spgemm(a: CSRMatrix, b: CSRMatrix, *, kernel=None) -> CSRMatrix:
     """In-core SpGEMM via the full two-phase kernel (no device simulation).
 
-    ``kernel`` picks the accumulator family (``None`` = auto; see
+    ``kernel`` picks the kernel (``None`` = auto; see
     :mod:`repro.spgemm.kernels`) — the product is the same either way.
     """
     return spgemm_twophase(a, b, kernel=kernel).matrix

@@ -158,7 +158,6 @@ class GridJob:
         host_estimates: Optional[Sequence[int]] = None,
         kernel: Optional[KernelSpec] = None,
         est_device_bytes: Optional[Sequence[int]] = None,
-        row_ratio=None,
         chunk_events=None,
     ) -> None:
         self.grid = grid
@@ -184,12 +183,10 @@ class GridJob:
         # governor does not police that axis
         self.chunk_products = chunk_products
         self.host_estimates = host_estimates
-        # sampled-estimate refinements (spgemm/estimate.py): per-chunk
+        # sampled-estimate refinement (spgemm/estimate.py): per-chunk
         # estimated device bytes gate the resplit pre-check (the UB
-        # stays the fallback), and the per-row compression-ratio vector
-        # feeds density hints to kernel dispatch
+        # stays the fallback)
         self.est_device_bytes = est_device_bytes
-        self.row_ratio = row_ratio
         # recovery bookkeeping: cumulative counters plus per-chunk
         # attempt numbers, shared by every lane thread
         self._fault_lock = threading.Lock()
@@ -297,26 +294,6 @@ class GridJob:
     # ------------------------------------------------------------------
     # in-process chunk execution (serial + thread backends)
     # ------------------------------------------------------------------
-    def density_hint(self, cid: int):
-        """Estimated output nnz per row of one chunk (or ``None``).
-
-        Scales the chunk's exact per-row product counts by the sampled
-        per-row compression ratio — the dispatch hint
-        :func:`~repro.spgemm.twophase.spgemm_twophase` uses to bin rows
-        by estimated density instead of the upper bound.  In-process
-        backends only; it never crosses to process workers (pure perf
-        hint, results are bit-identical either way)."""
-        if self.row_ratio is None:
-            return None
-        from ..memcheck import panel_row_products  # deferred: import cost
-
-        rp, cp = self.grid.panel_of(cid)
-        products = panel_row_products(self.row_panels[rp], self.col_panels[cp])
-        lo = int(self.grid.row_bounds[rp])
-        ratio = np.asarray(self.row_ratio)[lo:lo + products.size]
-        hint = np.ceil(ratio * products).astype(np.int64)
-        return np.minimum(hint, products)
-
     def run_chunk_local(
         self, cid: int
     ) -> Tuple[int, TwoPhaseStats, CSRMatrix, float]:
@@ -333,7 +310,6 @@ class GridJob:
                 slice_cache=self.caches[rp], tracer=tracer,
                 trace_label=str(cid),
                 fault_hook=self._stage_hook(cid),
-                density_hint=self.density_hint(cid),
             )
         finally:
             if deadline is not None:
@@ -733,7 +709,7 @@ DiskChunkStore`) — the host-side analog of the paper's chunk arrival,
         behaviour.  Recovery never changes results: re-split chunks
         reassemble bit-identically via row ``vstack``.
     kernel:
-        Accumulator family every chunk runs with — ``None`` (auto), a
+        Kernel every chunk runs with — ``None`` (auto), a
         wire string (``"esc"``), or a
         :class:`~repro.spgemm.kernels.KernelSpec`.  Threaded through
         every backend including process workers; results are identical
@@ -751,9 +727,8 @@ DiskChunkStore`) — the host-side analog of the paper's chunk arrival,
         When given, the governor's host admission and device-OOM
         pre-check consume *estimated* chunk bytes (upper bound as
         fallback ceiling; spurious UB-only resplits are counted as
-        ``avoided_resplits``), and in-process backends pass per-row
-        density hints to kernel dispatch.  Purely a sizing/dispatch
-        refinement — results are bit-identical with or without it.
+        ``avoided_resplits``).  Purely a sizing refinement — results
+        are bit-identical with or without it.
     chunk_events:
         Optional ``fn(chunk_id, ChunkStats)`` progress callback fired
         after each chunk lands durably (post-sink, in completion order
@@ -848,9 +823,6 @@ DiskChunkStore`) — the host-side analog of the paper's chunk arrival,
     chunk_products = None
     host_estimates = None
     est_device_bytes = None
-    row_ratio = None
-    if estimate is not None:
-        row_ratio = estimate.ratio()
     if gov is not None:
         gov.bind_tracer(tracer)
         chunk_est = None
@@ -876,7 +848,7 @@ DiskChunkStore`) — the host-side analog of the paper's chunk arrival,
         crash_budget=crash_budget, governor=gov,
         chunk_products=chunk_products, host_estimates=host_estimates,
         kernel=kernel_spec,
-        est_device_bytes=est_device_bytes, row_ratio=row_ratio,
+        est_device_bytes=est_device_bytes,
         chunk_events=chunk_events,
     )
 

@@ -213,9 +213,9 @@ def plan_grid(
 @dataclass(frozen=True)
 class AutotunePlan:
     """Everything ``--autotune`` derives from one sampled estimate:
-    the chunk grid (estimated footprints), the accumulator kernel
-    (estimated density), and the hybrid CPU/GPU split ratio
-    (estimated output size)."""
+    the chunk grid (estimated footprints), the hybrid CPU/GPU split
+    ratio (estimated output size), and the resolved kernel the trials
+    and the run use."""
 
     report: PlanReport
     estimate: "RowNnzEstimate"  # noqa: F821 — forward ref, see estimate.py
@@ -331,7 +331,8 @@ def plan_autotuned(
     trial=None,
 ) -> AutotunePlan:
     """One-stop estimation-driven tuning: sample A once, then derive
-    grid + kernel + hybrid ratio from that single estimate.
+    grid + hybrid ratio from that single estimate; the kernel is the
+    resolved default (``native`` with a C toolchain, else ``esc``).
 
     ``trial`` enables empirical grid selection: a callable
     ``trial(grid, kernel) -> seconds`` (e.g. one quick serial run) is
@@ -343,16 +344,16 @@ def plan_autotuned(
     from ..device.kernels import default_cost_model  # deferred: cycle
     from ..spgemm.estimate import (
         DEFAULT_SAMPLE_FRACTION,
-        choose_kernel,
         estimate_row_nnz,
         hybrid_ratio_from_estimate,
     )
     from ..spgemm.flops import total_flops
+    from ..spgemm.kernels import KernelSpec
 
     if sample_fraction is None:
         sample_fraction = DEFAULT_SAMPLE_FRACTION
     est = estimate_row_nnz(a, b, sample_fraction=sample_fraction, seed=seed)
-    kernel = choose_kernel(est)
+    kernel = KernelSpec().resolved()
     if trial is not None:
         candidates = _candidate_reports(
             a, b, node, est,

@@ -32,10 +32,12 @@ from typing import Any, Dict, List, Optional
 
 import numpy as np
 
+from ..core.executor.engine import EXECUTOR_BACKENDS
 from ..sparse import generators
 from ..sparse.formats import CSRMatrix, INDEX_DTYPE, VALUE_DTYPE
 from ..sparse.io import load_npz, read_matrix_market
 from ..sparse.suite import SUITE, build_matrix
+from ..spgemm.kernels import resolve_kernel
 
 __all__ = [
     "JobState",
@@ -182,11 +184,21 @@ class JobSpec:
             grid = [int(x) for x in grid]
             if len(grid) != 2 or min(grid) < 1:
                 raise ValueError("grid must be [row_panels, col_panels] >= 1")
+        kernel = payload.get("kernel")
+        if kernel is not None:
+            if not isinstance(kernel, str):
+                raise ValueError("kernel must be a string")
+            resolve_kernel(kernel)  # ValueError naming the accepted kinds
+        backend = payload.get("backend")
+        if backend is not None and backend not in EXECUTOR_BACKENDS:
+            raise ValueError(
+                f"unknown backend {backend!r}; choose from {EXECUTOR_BACKENDS}"
+            )
         return cls(
             a_spec=payload["a"], b_spec=payload["b"],
             tenant=str(payload.get("tenant", "default")),
-            kernel=payload.get("kernel"),
-            backend=payload.get("backend"),
+            kernel=kernel,
+            backend=backend,
             workers=workers, grid=grid,
             return_result=bool(payload.get("return_result", False)),
             trace=bool(payload.get("trace", False)),

@@ -39,6 +39,7 @@ import heapq
 import itertools
 import threading
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -133,7 +134,10 @@ class JobScheduler:
     (the server supplies it); it must set the record's terminal state
     and never raise.  ``on_event(record, event)`` is the thread-safe
     progress callback (events: ``admitted``, ``started`` are emitted
-    here; the runner emits ``chunk`` and terminal events itself).
+    here; the runner emits ``chunk`` and terminal events itself).  A
+    raising ``on_event`` never stops a job: each failure is counted as
+    ``callback_errors`` in :meth:`stats` and warned as a
+    :class:`RuntimeWarning`.
 
     ``shards`` splits the worker slots into per-shard pools — N
     simulated devices serving one job mix.  Each admitted job is placed
@@ -187,6 +191,7 @@ class JobScheduler:
         self.rejected = 0
         self.completed = 0
         self.failed = 0
+        self.callback_errors = 0  # on_event hook raises, counted + warned
 
     # ------------------------------------------------------------------
     # wiring
@@ -198,8 +203,15 @@ class JobScheduler:
         if self._on_event is not None:
             try:
                 self._on_event(record, event)
-            except Exception:
-                pass
+            except Exception as exc:
+                # the job proceeds; the failure is counted and surfaced
+                with self._cond:
+                    self.callback_errors += 1
+                warnings.warn(
+                    f"serve event hook raised for job {record.job_id}: "
+                    f"{type(exc).__name__}: {exc}",
+                    RuntimeWarning, stacklevel=2,
+                )
 
     # ------------------------------------------------------------------
     # submission (any thread)
@@ -337,6 +349,7 @@ class JobScheduler:
                 "rejected": self.rejected,
                 "completed": self.completed,
                 "failed": self.failed,
+                "callback_errors": self.callback_errors,
                 "host_budget_bytes": self.hostmem.budget_bytes,
                 "host_reserved_bytes": sum(
                     self.hostmem._reserved.values()

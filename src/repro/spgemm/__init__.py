@@ -5,19 +5,17 @@ from .flops import compression_ratio, flops_per_row, total_flops
 from .gustavson import spgemm_gustavson
 from .kernels import (
     ACCUMULATORS,
-    FUSED_METHODS,
     KERNEL_KINDS,
     KernelSpec,
     plan_groups,
     resolve_kernel,
 )
 from .native import native_available, native_build_error
-from .numeric import numeric_grouped, numeric_phase
+from .numeric import numeric_grouped
 from .reference import assert_same_product, spgemm_scipy
-from .rmerge import spgemm_rmerge
 from .rowanalysis import RowAnalysis, analyze_rows
 from .semiring import MAX_MIN, MIN_PLUS, OR_AND, PLUS_TIMES, Semiring, spgemm_semiring
-from .symbolic import symbolic_grouped, symbolic_row_nnz, symbolic_sort
+from .symbolic import symbolic_row_nnz, symbolic_sort
 from .twophase import TwoPhaseResult, TwoPhaseStats, spgemm_twophase
 from .upperbound import row_upper_bound, row_upper_bound_cols, tightness
 
@@ -28,7 +26,6 @@ __all__ = [
     "total_flops",
     "spgemm_gustavson",
     "ACCUMULATORS",
-    "FUSED_METHODS",
     "KERNEL_KINDS",
     "KernelSpec",
     "plan_groups",
@@ -36,10 +33,8 @@ __all__ = [
     "native_available",
     "native_build_error",
     "numeric_grouped",
-    "numeric_phase",
     "assert_same_product",
     "spgemm_scipy",
-    "spgemm_rmerge",
     "RowAnalysis",
     "analyze_rows",
     "MAX_MIN",
@@ -48,7 +43,6 @@ __all__ = [
     "PLUS_TIMES",
     "Semiring",
     "spgemm_semiring",
-    "symbolic_grouped",
     "symbolic_row_nnz",
     "symbolic_sort",
     "TwoPhaseResult",

@@ -20,10 +20,9 @@ Downstream consumers:
 - `core/planner.py` sizes the chunk grid from estimated footprints
   (UB fallback ceiling).
 - `core/executor/engine.py` gates the governor's device-OOM pre-check
-  and host admission on estimated chunk bytes, and feeds per-row
-  density hints to kernel dispatch.
-- `repro bench --autotune` picks grid + kernel + hybrid ratio from the
-  estimate (see `core.planner.plan_autotuned`).
+  and host admission on estimated chunk bytes.
+- `repro bench --autotune` picks grid + hybrid ratio from the estimate
+  (see `core.planner.plan_autotuned`).
 """
 
 from __future__ import annotations
@@ -34,10 +33,8 @@ import numpy as np
 
 from ..sparse.formats import CSRMatrix
 from ..sparse.partition import build_col_offsets
+from .accumulators import esc_accumulate_rows
 from .flops import flops_per_row
-from .groups import DENSE_THRESHOLD
-from .kernels import KernelSpec, accumulate
-from .native import native_available
 
 __all__ = [
     "DEFAULT_SAMPLE_FRACTION",
@@ -45,7 +42,6 @@ __all__ = [
     "ChunkEstimates",
     "estimate_row_nnz",
     "estimate_chunks",
-    "choose_kernel",
     "hybrid_ratio_from_estimate",
 ]
 
@@ -159,7 +155,7 @@ def estimate_row_nnz(
         picked.append(rng.choice(rows_s, size=k, replace=False))
     sampled = np.sort(np.concatenate(picked))
 
-    exact = accumulate("esc", a, b, sampled, ub[sampled], with_values=False).counts
+    exact = esc_accumulate_rows(a, b, sampled, with_values=False).counts
     exact = exact.astype(np.float64)
     nnz[sampled] = exact
     lo[sampled] = exact
@@ -273,28 +269,6 @@ def estimate_chunks(
     nnz = np.minimum(nnz, ceiling)
     nnz_hi = np.minimum(np.maximum(nnz_hi, nnz), ceiling)
     return ChunkEstimates(grid, nnz, nnz_hi, products, panel_rows)
-
-
-def choose_kernel(est: RowNnzEstimate) -> KernelSpec:
-    """Pick an accumulator kernel from the estimated output density.
-
-    The native C kernel dominates whenever the toolchain supports it.
-    Otherwise: mostly-dense estimated rows favor the dense accumulator,
-    mostly-sparse rows the vectorized ESC batch, and mixed workloads the
-    ``auto`` dense/ESC split.
-    """
-    if native_available():
-        return KernelSpec(kind="native")
-    active = est.ub > 0
-    if not active.any():
-        return KernelSpec(kind="esc")
-    density = est.row_nnz[active] / max(est.width, 1)
-    dense_frac = float((density >= DENSE_THRESHOLD).mean())
-    if dense_frac >= 0.5:
-        return KernelSpec(kind="dense")
-    if dense_frac <= 0.05:
-        return KernelSpec(kind="esc")
-    return KernelSpec(kind="auto")
 
 
 def hybrid_ratio_from_estimate(est: RowNnzEstimate, flops: int, cost) -> float:

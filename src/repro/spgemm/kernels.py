@@ -1,34 +1,25 @@
-"""Unified kernel dispatch for the two-phase SpGEMM pipeline.
+"""Kernel choice for the two-phase SpGEMM pipeline.
 
-One small interface fronts every accumulator the repo knows about so new
-kernels (and new group-selection heuristics) plug in without touching the
-engine, the process workers, or the CLI:
+Two kernels run the paper's symbolic and numeric stages:
 
-* :data:`ACCUMULATORS` — registry of group accumulators, all sharing the
-  signature ``fn(a, b, rows, work, *, with_values, slice_cache)`` and
-  returning :class:`~repro.spgemm.accumulators.RowResults`;
+``esc``     bhSPARSE-style expand/sort/compress, one vectorized numpy
+            batch over all productive rows.
+``native``  runtime-compiled C Gustavson kernel (when available).
+``auto``    a policy, not a kernel: ``native`` when the toolchain allows
+            it, else ``esc``.
+
+Both are *fused*: the symbolic pass already produces values, so the
+numeric pass only scatters the cached results into the exact
+allocation.  Both combine duplicate products in expansion (ascending
+``k``) order and are bit-identical for any float input (see
+``docs/KERNELS.md``).  The hash and dense accumulators of
+:mod:`repro.spgemm.accumulators` are not dispatched here; the CPU
+baselines and the accumulator-crossover ablation call them directly.
+
 * :class:`KernelSpec` — a frozen, string-codable kernel choice that rides
   on :class:`~repro.core.executor.plan.ChunkPlan` and crosses process
   boundaries as ``spec.encode()``;
-* :func:`plan_groups` — maps row-analysis statistics (upper-bound work or
-  exact counts) to a :class:`~repro.spgemm.groups.RowGrouping` whose
-  group methods name registry entries.
-
-Kinds
------
-``hash``    spECK-style: dense accumulation for dense rows, power-of-two
-            hash buckets for the rest (the original default).
-``dense``   dense accumulation for every productive row.
-``esc``     bhSPARSE-style expand/sort/compress, one batch per group.
-``merge``   BRMerge-style binary row merging.
-``native``  runtime-compiled C Gustavson kernel (when available).
-``auto``    ``native`` when the toolchain allows it, else dense rows to
-            ``dense`` and the rest to ``esc``.
-
-``hash``/``dense``/``esc``/``native`` combine duplicate products in
-expansion (ascending ``k``) order and are mutually bit-identical for any
-float input; ``merge`` combines in tree order and matches exactly on
-integer-valued data, to rounding otherwise (see ``docs/KERNELS.md``).
+* :func:`plan_groups` — the one row group a spec runs over.
 """
 
 from __future__ import annotations
@@ -38,24 +29,12 @@ from typing import Callable, Dict, Optional, Union
 
 import numpy as np
 
-from .accumulators import (
-    RowResults,
-    dense_accumulate_rows,
-    esc_accumulate_rows,
-    hash_accumulate_rows,
-)
-from .brmerge import merge_accumulate_rows
-from .groups import (
-    DENSE_THRESHOLD,
-    RowGroup,
-    RowGrouping,
-    group_rows,
-)
+from .accumulators import RowResults, esc_accumulate_rows
+from .groups import RowGroup, RowGrouping
 from .native import native_accumulate_rows, native_available, native_build_error
 
 __all__ = [
     "KERNEL_KINDS",
-    "FUSED_METHODS",
     "KernelSpec",
     "resolve_kernel",
     "resolved_wire",
@@ -65,60 +44,45 @@ __all__ = [
 ]
 
 #: every accepted ``KernelSpec.kind`` / ``--kernel`` value
-KERNEL_KINDS = ("auto", "hash", "dense", "esc", "merge", "native")
-
-#: group methods that produce values during the symbolic pass (their
-#: symbolic run is cached and the numeric pass only scatters it)
-FUSED_METHODS = frozenset({"esc", "merge", "native"})
+KERNEL_KINDS = ("auto", "esc", "native")
 
 
 @dataclass(frozen=True)
 class KernelSpec:
     """A kernel choice for one chunk grid (or one multiplication).
 
-    ``kind`` selects the accumulator family (see module docstring);
-    ``dense_threshold`` tunes the dense/sparse split where the kind uses
-    one (``hash`` and compiler-less ``auto``).  The spec serializes to a
-    short string via :meth:`encode` so it can ride through spawn args to
-    process workers and into trace span attributes.
+    ``kind`` selects the kernel (see module docstring).  The spec
+    serializes to its kind via :meth:`encode` so it can ride through
+    spawn args to process workers and into trace span attributes.
     """
 
     kind: str = "auto"
-    dense_threshold: float = DENSE_THRESHOLD
 
     def __post_init__(self) -> None:
         if self.kind not in KERNEL_KINDS:
             raise ValueError(
                 f"unknown kernel kind {self.kind!r}; expected one of {KERNEL_KINDS}"
             )
-        if not (self.dense_threshold >= 0.0):
-            raise ValueError("dense_threshold must be non-negative")
 
     def encode(self) -> str:
         """Compact wire form, inverse of :meth:`parse`."""
-        if self.dense_threshold == DENSE_THRESHOLD:
-            return self.kind
-        return f"{self.kind}@{self.dense_threshold!r}"
+        return self.kind
 
     @staticmethod
     def parse(text: str) -> "KernelSpec":
-        kind, sep, rest = text.strip().partition("@")
-        if not sep:
-            return KernelSpec(kind=kind)
-        return KernelSpec(kind=kind, dense_threshold=float(rest))
+        return KernelSpec(kind=text.strip())
 
     def resolved(self) -> "KernelSpec":
         """The concrete spec ``auto`` resolves to on this toolchain.
 
         ``auto`` is a *policy*, not a kernel: on a box with a C compiler
-        it runs the native Gustavson kernel; without one it runs the
-        dense/ESC split.  Artifacts keyed on the kernel (profile caches,
-        recorded :class:`~repro.core.chunks.ChunkStats`) must use the
-        resolved wire form, or timings from different kernels alias
-        under one key.
+        it runs the native Gustavson kernel; without one it runs ESC.
+        Artifacts keyed on the kernel (profile caches, recorded
+        :class:`~repro.core.chunks.ChunkStats`) must use the resolved
+        wire form, or timings from different kernels alias under one key.
         """
-        if self.kind == "auto" and native_available():
-            return KernelSpec(kind="native", dense_threshold=self.dense_threshold)
+        if self.kind == "auto":
+            return KernelSpec(kind="native" if native_available() else "esc")
         return self
 
 
@@ -139,19 +103,9 @@ def resolved_wire(kernel: Union[None, str, KernelSpec] = None) -> str:
     return resolve_kernel(kernel).resolved().encode()
 
 
-def _dense_adapter(a, b, rows, work, *, with_values, slice_cache) -> RowResults:
-    del work  # dense buffers are sized by the output width alone
-    return dense_accumulate_rows(
-        a, b, rows, with_values=with_values, slice_cache=slice_cache
-    )
-
-
 #: group-method name -> accumulator, uniform signature
 ACCUMULATORS: Dict[str, Callable[..., RowResults]] = {
-    "hash": hash_accumulate_rows,
-    "dense": _dense_adapter,
     "esc": esc_accumulate_rows,
-    "merge": merge_accumulate_rows,
     "native": native_accumulate_rows,
 }
 
@@ -174,52 +128,17 @@ def accumulate(
     return fn(a, b, rows, work, with_values=with_values, slice_cache=slice_cache)
 
 
-def _single_group(work: np.ndarray, method: str) -> RowGrouping:
-    rows = np.flatnonzero(work > 0)
-    groups = ()
-    if rows.size:
-        groups = (RowGroup(rows=rows, method=method, bucket=0),)
-    return RowGrouping(groups=groups, n_rows=work.size)
-
-
-def plan_groups(
-    work_per_row: np.ndarray,
-    out_width: int,
-    spec: KernelSpec,
-) -> RowGrouping:
-    """Derive the row grouping a :class:`KernelSpec` implies.
-
-    ``work_per_row`` is the upper-bound products per row before the
-    symbolic phase, or the exact output nnz per row before the numeric
-    phase — the same statistic :func:`~repro.spgemm.groups.group_rows`
-    consumes.  Rows with zero work are never grouped (their output rows
-    are empty).
-    """
+def plan_groups(work_per_row: np.ndarray, spec: KernelSpec) -> RowGrouping:
+    """The row grouping a :class:`KernelSpec` implies: one group of every
+    row with nonzero ``work_per_row`` (the upper-bound products per row),
+    run by the resolved kernel.  Rows with zero work are never grouped
+    (their output rows are empty)."""
     work = np.asarray(work_per_row, dtype=np.int64)
     kind = spec.resolved().kind
-
-    if kind == "native":
-        if not native_available():
-            raise RuntimeError(
-                f"kernel 'native' requested but unavailable: {native_build_error()}"
-            )
-        return _single_group(work, "native")
-    if kind in ("esc", "merge"):
-        return _single_group(work, kind)
-    if kind == "hash":
-        # the original spECK split: dense rows + power-of-two hash buckets
-        return group_rows(work, out_width, dense_threshold=spec.dense_threshold)
-    if kind == "dense":
-        return group_rows(work, out_width, dense_threshold=0.0)
-    # auto without a native toolchain: dense rows keep the dense
-    # accumulator, everything else goes through one vectorized ESC batch
-    cutoff = max(1.0, spec.dense_threshold * out_width)
-    active = work > 0
-    dense_rows = np.flatnonzero(active & (work >= cutoff))
-    esc_rows = np.flatnonzero(active & (work < cutoff))
-    groups = []
-    if dense_rows.size:
-        groups.append(RowGroup(rows=dense_rows, method="dense", bucket=0))
-    if esc_rows.size:
-        groups.append(RowGroup(rows=esc_rows, method="esc", bucket=0))
-    return RowGrouping(groups=tuple(groups), n_rows=work.size)
+    if kind == "native" and not native_available():
+        raise RuntimeError(
+            f"kernel 'native' requested but unavailable: {native_build_error()}"
+        )
+    rows = np.flatnonzero(work > 0)
+    groups = (RowGroup(rows=rows, method=kind),) if rows.size else ()
+    return RowGrouping(groups=groups, n_rows=work.size)

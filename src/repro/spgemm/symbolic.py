@@ -4,33 +4,23 @@
 of non-zero elements of each row in the output matrix."  Knowing the counts
 makes exact output allocation possible before any value is computed.
 
-Three interchangeable implementations:
-
-``symbolic_sort``
-    expand + lexsort + unique.  Simple, used as the oracle and by the
-    profiling path; batched over rows so peak memory is bounded.
-``symbolic_grouped``
-    the spECK-style path: per row group, one registered accumulator
-    (hash/dense/esc/merge/native) in a structure-only run.
-``symbolic_row_nnz``
-    convenience dispatcher.
+``symbolic_sort`` (expand + lexsort + unique) is the oracle and the
+profiling path; it is batched over rows so peak memory is bounded.  The
+kernels' own symbolic pass lives in :mod:`repro.spgemm.twophase`, where
+the fused accumulators produce counts and values together.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 
 from ..sparse.formats import CSRMatrix, INDEX_DTYPE
 from .expand import expand_products, row_batches
-from .groups import RowGrouping, group_rows
 from .upperbound import row_upper_bound
 
 __all__ = [
     "row_batches",
     "symbolic_sort",
-    "symbolic_grouped",
     "symbolic_row_nnz",
 ]
 
@@ -57,43 +47,11 @@ def symbolic_sort(
     return out
 
 
-def symbolic_grouped(
-    a: CSRMatrix,
-    b: CSRMatrix,
-    grouping: RowGrouping,
-    work: np.ndarray,
-    *,
-    slice_cache: Optional["RowSliceCache"] = None,
-) -> np.ndarray:
-    """spECK-style symbolic execution: one structure-only accumulator pass
-    per row group, dispatched by group method through the kernel registry
-    (:mod:`repro.spgemm.kernels`).  ``work`` is the per-row upper bound
-    sizing hash tables and output buffers.  ``slice_cache`` memoizes the
-    per-group ``take_rows(a, ...)`` slices so the numeric pass (and
-    sibling chunks of the same A panel) reuse them."""
-    from .kernels import accumulate  # deferred: kernels imports this module's peers
-
-    out = np.zeros(a.n_rows, dtype=INDEX_DTYPE)
-    for g in grouping:
-        if len(g) == 0:
-            continue
-        res = accumulate(
-            g.method, a, b, g.rows, work[g.rows],
-            with_values=False, slice_cache=slice_cache,
-        )
-        out[g.rows] = res.counts
-    return out
-
-
-def symbolic_row_nnz(a: CSRMatrix, b: CSRMatrix, method: str = "grouped") -> np.ndarray:
+def symbolic_row_nnz(a: CSRMatrix, b: CSRMatrix, method: str = "sort") -> np.ndarray:
     """Exact nnz per output row of ``A x B``.
 
-    ``method`` is one of ``"grouped"`` (spECK-style) or ``"sort"`` (oracle).
+    ``method`` is ``"sort"`` (the oracle); no other method remains.
     """
     if method == "sort":
         return symbolic_sort(a, b)
-    if method == "grouped":
-        work = row_upper_bound(a, b)
-        grouping = group_rows(work, b.n_cols)
-        return symbolic_grouped(a, b, grouping, work)
     raise ValueError(f"unknown symbolic method {method!r}")

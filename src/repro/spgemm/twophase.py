@@ -4,19 +4,17 @@ Pipeline of the three stages the paper describes:
 
 1. **row analysis** — flops per row of ``A`` (device kernel, result shipped
    to the host so it can bin rows);
-2. **symbolic execution** — one kernel per row group computes exact output
-   nnz per row, enabling exact allocation;
-3. **numeric execution** — rows re-grouped on exact counts ("global load
-   balance again"), then one kernel per group computes values.
+2. **symbolic execution** — exact output nnz per row, enabling exact
+   allocation;
+3. **numeric execution** — values placed into that exact allocation.
 
-Which accumulator runs per group is decided by a
+Which kernel runs is decided by a
 :class:`~repro.spgemm.kernels.KernelSpec` (``--kernel`` on the CLI): the
-classic spECK split (dense rows dense, sparse rows hashed), the
-vectorized ESC or BRMerge batch kernels, or the compiled ``native``
-Gustavson kernel.  The *fused* kernels (esc/merge/native) produce values
-already during the symbolic pass; their results are cached and the
-numeric stage only scatters them into the exact allocation, halving the
-work while keeping the two-phase structure (and its stats/spans) intact.
+compiled ``native`` Gustavson kernel or the vectorized ESC batch.  Both
+are *fused*: they produce values already during the symbolic pass; the
+results are cached and the numeric stage only scatters them into the
+exact allocation, halving the work while keeping the two-phase structure
+(and its stats/spans) intact.
 
 Alongside the result we return :class:`TwoPhaseStats` — everything the
 out-of-core scheduler and the simulated-device cost model need: flops,
@@ -37,7 +35,7 @@ from ..sparse.formats import CSRMatrix, INDEX_DTYPE
 from ..sparse.ops import RowSliceCache
 from .flops import compression_ratio
 from .groups import RowGrouping
-from .kernels import FUSED_METHODS, KernelSpec, accumulate, plan_groups, resolve_kernel
+from .kernels import KernelSpec, accumulate, plan_groups, resolve_kernel
 from .numeric import numeric_grouped
 from .rowanalysis import RowAnalysis, analyze_rows
 
@@ -111,20 +109,19 @@ def spgemm_twophase(
     tracer=None,
     trace_label: str = "",
     fault_hook=None,
-    density_hint: Optional[np.ndarray] = None,
 ) -> TwoPhaseResult:
     """Multiply ``A x B`` with the full three-stage kernel pipeline.
 
-    ``kernel`` selects the accumulator family — ``None``, a wire string
-    (``"esc"``, ``"hash@0.25"``), or a :class:`KernelSpec`.  The default
-    ``auto`` uses the compiled Gustavson kernel when available and the
-    vectorized dense/ESC split otherwise.  All kernels produce the same
-    matrix; see :mod:`repro.spgemm.kernels` for the bit-identity contract.
+    ``kernel`` selects the kernel — ``None``, a wire string (``"esc"``,
+    ``"native"``), or a :class:`KernelSpec`.  The default ``auto`` uses
+    the compiled Gustavson kernel when available and the vectorized ESC
+    batch otherwise.  Both kernels produce the same matrix; see
+    :mod:`repro.spgemm.kernels` for the bit-identity contract.
 
     ``slice_cache`` (a :class:`~repro.sparse.ops.RowSliceCache` over ``a``)
-    lets the symbolic and numeric passes — and sibling invocations sharing
-    the same A panel, as the out-of-core chunk executor arranges — reuse
-    row-group gathers instead of re-slicing A.  One is created locally when
+    lets sibling invocations sharing the same A panel, as the out-of-core
+    chunk executor arranges, reuse the symbolic pass's row-group gather
+    instead of re-slicing A.  One is created locally when
     not supplied.
 
     ``tracer`` (:mod:`repro.observability`) records the three phase
@@ -139,15 +136,6 @@ def spgemm_twophase(
     called with the stage name (``analysis`` / ``symbolic`` / ``numeric``)
     at each stage entry; it may sleep, raise, or kill the process.  The
     default ``None`` costs nothing.
-
-    ``density_hint`` (optional, one estimated output nnz per row of
-    ``a`` — see :mod:`repro.spgemm.estimate`) refines the *symbolic*
-    row grouping: rows are binned by estimated density instead of the
-    loose flops upper bound, so a row the bound calls dense but the
-    estimate calls sparse stays on the sparse accumulator.  It is purely
-    a dispatch hint — hash-table/buffer sizing inside the accumulators
-    still uses the hard upper bound, and results are bit-identical with
-    or without it.
     """
     from ..observability import as_tracer  # deferred: avoid import cycles
 
@@ -172,71 +160,37 @@ def spgemm_twophase(
     analysis_seconds = time.perf_counter() - t0
     work = analysis.flops // 2  # upper-bound products per row
 
-    # host: bin rows for dispatch — by estimated density when a hint is
-    # available (OCEAN-style), by upper-bound work otherwise.  The hint
-    # is clamped into [1, work] on productive rows so no row can drop
-    # out of (or join) the grouping by estimation error alone.
-    group_work = work
-    if density_hint is not None:
-        hint = np.asarray(density_hint, dtype=np.int64)
-        if hint.shape != work.shape:
-            raise ValueError(
-                f"density_hint has shape {hint.shape}, expected {work.shape}"
-            )
-        group_work = np.where(work > 0, np.clip(hint, 1, work), 0)
-    sym_grouping = plan_groups(group_work, b.n_cols, spec)
+    # host: hand every productive row to the kernel
+    grouping = plan_groups(work, spec)
 
-    # stage 2: symbolic execution — exact nnz per output row.  Fused
-    # kernels (esc/merge/native) compute values in the same pass; their
-    # RowResults are cached so the numeric stage only has to scatter.
+    # stage 2: symbolic execution — exact nnz per output row.  Both
+    # kernels compute values in the same pass; their RowResults are
+    # cached so the numeric stage only has to scatter.
     if fault_hook is not None:
         fault_hook("symbolic")
     t0 = time.perf_counter()
     row_nnz = np.zeros(a.n_rows, dtype=INDEX_DTYPE)
-    fused = []  # [(RowGroup, RowResults)] in symbolic-group order
+    results = []  # RowResults per group, in grouping order
     with tracer.span(f"symbolic[{trace_label}]", "symbolic",
-                     kernels=sym_grouping.num_kernels(),
+                     kernels=grouping.num_kernels(),
                      kernel=wire):
-        for g in sym_grouping:
-            if len(g) == 0:
-                continue
-            if g.method in FUSED_METHODS:
-                res = accumulate(
-                    g.method, a, b, g.rows, work[g.rows],
-                    with_values=True, slice_cache=slice_cache,
-                )
-                fused.append((g, res))
-            else:
-                res = accumulate(
-                    g.method, a, b, g.rows, work[g.rows],
-                    with_values=False, slice_cache=slice_cache,
-                )
+        for g in grouping:
+            res = accumulate(
+                g.method, a, b, g.rows, work[g.rows],
+                with_values=True, slice_cache=slice_cache,
+            )
+            results.append(res)
             row_nnz[g.rows] = res.counts
     symbolic_seconds = time.perf_counter() - t0
-
-    # host: re-group on exact counts (global load balance again) — only
-    # the rows whose values are *not* already cached need a new group
-    regroup_work = row_nnz.copy()
-    for g, _ in fused:
-        regroup_work[g.rows] = 0
-    classic = plan_groups(regroup_work, b.n_cols, spec)
-    num_grouping = RowGrouping(
-        groups=tuple(g for g, _ in fused) + classic.groups,
-        n_rows=a.n_rows,
-    )
-    precomputed = [res for _, res in fused] + [None] * len(classic.groups)
 
     # stage 3: numeric execution into the exact allocation
     if fault_hook is not None:
         fault_hook("numeric")
     t0 = time.perf_counter()
     with tracer.span(f"numeric[{trace_label}]", "numeric",
-                     kernels=num_grouping.num_kernels(),
+                     kernels=grouping.num_kernels(),
                      kernel=wire):
-        c = numeric_grouped(
-            a, b, row_nnz, num_grouping,
-            slice_cache=slice_cache, precomputed=precomputed,
-        )
+        c = numeric_grouped(a, b, row_nnz, grouping, results)
     numeric_seconds = time.perf_counter() - t0
 
     stats = TwoPhaseStats(
@@ -246,8 +200,8 @@ def spgemm_twophase(
         analysis_bytes=analysis.transfer_bytes(),
         symbolic_bytes=int(row_nnz.nbytes),
         output_bytes=c.nbytes(),
-        symbolic_kernels=sym_grouping.num_kernels(),
-        numeric_kernels=num_grouping.num_kernels(),
+        symbolic_kernels=grouping.num_kernels(),
+        numeric_kernels=grouping.num_kernels(),
         input_nnz=a.nnz + b.nnz,
         kernel=wire,
         analysis_seconds=analysis_seconds,
@@ -259,6 +213,6 @@ def spgemm_twophase(
         matrix=c,
         stats=stats,
         analysis=analysis,
-        symbolic_grouping=sym_grouping,
-        numeric_grouping=num_grouping,
+        symbolic_grouping=grouping,
+        numeric_grouping=grouping,
     )

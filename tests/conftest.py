@@ -16,9 +16,16 @@ import pytest
 from repro.sparse.formats import CSRMatrix
 from repro.sparse.generators import banded, erdos_renyi, rmat
 from repro.sparse.ops import drop_explicit_zeros
+from repro.spgemm.native import native_available, native_build_error
 from repro.spgemm.reference import spgemm_scipy
 
 DEFAULT_TEST_SEED = 20260806
+
+#: skip marker for tests that name the compiled ``native`` kernel
+needs_native = pytest.mark.skipif(
+    not native_available(),
+    reason=f"native kernel unavailable: {native_build_error()}",
+)
 
 
 def _session_seed() -> int:

@@ -156,6 +156,7 @@ class TestEstimatedPlanning:
 class TestPlanAutotuned:
     def test_autotune_bundles_consistent_choices(self):
         from repro.core.planner import plan_autotuned
+        from repro.spgemm.kernels import KernelSpec
 
         m = rmat(10, 8.0, seed=91)
         node = v100_node(24 << 20)
@@ -163,7 +164,9 @@ class TestPlanAutotuned:
         assert at.report.estimated
         assert at.grid is at.report.grid
         assert 0.0 <= at.ratio <= 1.0
-        assert at.kernel.kind in ("native", "dense", "esc", "auto")
+        # the kernel is the resolved default, never the "auto" policy
+        assert at.kernel == KernelSpec().resolved()
+        assert at.kernel.kind in ("native", "esc")
         # same seed, same plan
         again = plan_autotuned(m, m, node, seed=0)
         assert again.grid.num_chunks == at.grid.num_chunks

@@ -103,7 +103,7 @@ class TestFitRecovery:
         )
         base = default_cost_model(v100_node())
         cost = fit_cost_model([profile], base=base)
-        stranger = synth_chunk(99, kernel="dense", **WORKLOADS[0])
+        stranger = synth_chunk(99, kernel="native", **WORKLOADS[0])
         analytic = (
             base.t_analysis(stranger.input_nnz)
             + base.t_symbolic(stranger.flops, stranger.nnz_out,

@@ -17,7 +17,7 @@ from repro.distributed.shard import (
     run_sharded,
 )
 from repro.sparse.generators import erdos_renyi, random_csr, rmat
-from tests.conftest import assert_equals_scipy_product
+from tests.conftest import assert_equals_scipy_product, needs_native
 
 
 @pytest.fixture(scope="module")
@@ -89,7 +89,9 @@ class TestBackendKernelGrid:
     """N-shard == 1-shard == scipy across the backend x kernel grid."""
 
     @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
-    @pytest.mark.parametrize("kernel", [None, "esc", "hash"])
+    @pytest.mark.parametrize("kernel", [
+        None, "esc", pytest.param("native", marks=needs_native),
+    ])
     def test_bit_identical_across_grid(self, operands, backend, kernel):
         if backend == "process" and kernel is not None:
             pytest.skip("process x kernel covered by the default-kernel case")

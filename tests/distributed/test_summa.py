@@ -12,7 +12,7 @@ from repro.distributed.summa import (
 from repro.sparse.formats import CSRMatrix
 from repro.sparse.generators import random_csr, rmat
 from repro.sparse.ops import hstack, vstack
-from tests.conftest import assert_equals_scipy_product
+from tests.conftest import assert_equals_scipy_product, needs_native
 
 
 class TestDistribute:
@@ -118,7 +118,9 @@ class TestExecutedPath:
         assert ex.total_flops == sim.total_flops
         assert_equals_scipy_product(ex.assemble(), a, b)
 
-    @pytest.mark.parametrize("kernel", ["esc", "hash"])
+    @pytest.mark.parametrize("kernel", [
+        "esc", pytest.param("native", marks=needs_native),
+    ])
     def test_kernel_dispatch(self, operands, kernel):
         a, b = operands
         ex = sparse_summa(a, b, 2,

@@ -129,6 +129,24 @@ class TestJobScheduler:
         assert "kaboom" in record.error
         assert sched.failed == 1
 
+    def test_raising_event_hook_is_counted_and_warned(self):
+        def runner(record):
+            with record.lock:
+                record.state = JobState.DONE
+
+        def on_event(record, event):
+            raise RuntimeError("hook down")
+
+        record = make_record()
+        with pytest.warns(RuntimeWarning,
+                          match=f"job {record.job_id}: RuntimeError: hook down"):
+            sched = run_scheduler([record], runner=runner, on_event=on_event,
+                                  host_budget_bytes=1 << 20)
+        assert record.state is JobState.DONE
+        assert sched.completed == 1
+        # "admitted" and "started" are both emitted through the hook
+        assert sched.stats()["callback_errors"] >= 1
+
     def test_max_queued_rejects_excess_backlog(self):
         release = threading.Event()
 

@@ -206,6 +206,23 @@ class TestValidation:
         assert err.status == 400
         assert "do not chain" in err.payload["error"]
 
+    @pytest.mark.parametrize("field,value", [
+        ("kernel", "bogus"), ("kernel", "hash"), ("backend", "gpu"),
+    ])
+    def test_unknown_kernel_or_backend_rejects_before_submit(self, field,
+                                                             value):
+        async def run(server, client):
+            before = (await client.stats())["scheduler"]["submitted"]
+            with pytest.raises(ServeError) as exc_info:
+                await client.submit_job(job_payload(**{field: value}))
+            after = (await client.stats())["scheduler"]["submitted"]
+            return exc_info.value, before, after
+
+        err, before, after = serve(run)
+        assert err.status == 400
+        assert repr(value) in err.payload["error"]
+        assert after == before
+
     def test_unknown_routes_404(self):
         async def run(server, client):
             with pytest.raises(ServeError) as exc_info:

@@ -11,7 +11,6 @@ from repro.sparse.generators import banded, random_csr, rmat
 from repro.spgemm.estimate import (
     ChunkEstimates,
     RowNnzEstimate,
-    choose_kernel,
     estimate_chunks,
     estimate_row_nnz,
     hybrid_ratio_from_estimate,
@@ -179,28 +178,6 @@ class TestChunkEstimates:
 
 
 class TestKernelAndRatioChoice:
-    def test_choose_kernel_returns_valid_spec(self):
-        a = rmat(9, 8.0, seed=6)
-        spec = choose_kernel(estimate_row_nnz(a, a, seed=0))
-        assert spec.kind in ("native", "dense", "esc", "auto")
-
-    def test_choose_kernel_prefers_dense_for_dense_output(self, monkeypatch):
-        import repro.spgemm.estimate as est_mod
-
-        monkeypatch.setattr(est_mod, "native_available", lambda: False)
-        n = 16
-        dense_a = random_csr(n, n, n * n, seed=8)  # fully dense input
-        est = estimate_row_nnz(dense_a, dense_a, seed=0)
-        assert choose_kernel(est).kind == "dense"
-
-    def test_choose_kernel_prefers_esc_for_sparse_output(self, monkeypatch):
-        import repro.spgemm.estimate as est_mod
-
-        monkeypatch.setattr(est_mod, "native_available", lambda: False)
-        a = banded(400, 2, seed=9)  # narrow band: very sparse output rows
-        est = estimate_row_nnz(a, a, seed=0)
-        assert choose_kernel(est).kind == "esc"
-
     def test_hybrid_ratio_in_unit_interval(self):
         a = rmat(9, 8.0, seed=10)
         est = estimate_row_nnz(a, a, seed=0)

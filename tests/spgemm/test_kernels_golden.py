@@ -1,18 +1,17 @@
-"""Golden equivalence suite for the kernel-dispatch interface.
+"""Golden equivalence suite for the kernel interface.
 
 Pins the cross-kernel contract documented in docs/KERNELS.md:
 
-* every kernel produces the scipy product on a battery of adversarial
-  inputs (empty rows, fully dense rows, single-column chunks,
-  duplicate-heavy expansions, rectangular shapes);
-* ``hash`` / ``dense`` / ``esc`` / ``native`` / ``auto`` combine
-  duplicate products in the same ascending-``k`` expansion order and are
-  therefore **bit-identical** to each other for arbitrary float inputs;
-* ``merge`` combines in pairwise-tree order — bit-identical to the rest
-  on integer-valued data (where float addition is exact), ``allclose``
-  otherwise;
+* every kernel kind produces the scipy product on a battery of
+  adversarial inputs (empty rows, fully dense rows, single-column
+  chunks, duplicate-heavy expansions, rectangular shapes);
+* ``esc`` / ``native`` / ``auto`` combine duplicate products in the same
+  ascending-``k`` expansion order and are therefore **bit-identical** to
+  each other for arbitrary float inputs;
+* ``auto`` resolves to a concrete kernel: ``native`` with a C toolchain,
+  ``esc`` without one;
 * the contract survives the execution engine: every backend x kernel
-  combination of :func:`execute_chunk_grid` matches the serial ``hash``
+  combination of :func:`execute_chunk_grid` matches the serial ``esc``
   run bitwise, including under injected chaos faults with retries.
 """
 
@@ -24,39 +23,29 @@ from repro.core.executor import RetryPolicy, execute_chunk_grid
 from repro.core.executor.faults import FaultInjector
 from repro.sparse.formats import CSRMatrix
 from repro.sparse.generators import banded, random_csr, rmat
+from repro.spgemm import kernels as K
 from repro.spgemm.kernels import (
-    FUSED_METHODS,
     KERNEL_KINDS,
     KernelSpec,
     plan_groups,
     resolve_kernel,
+    resolved_wire,
 )
-from repro.spgemm.native import native_available, native_build_error
+from repro.spgemm.native import native_available
 from repro.spgemm.twophase import spgemm_twophase
-from tests.conftest import assert_equals_scipy_product
+from tests.conftest import assert_equals_scipy_product, needs_native
 
-needs_native = pytest.mark.skipif(
-    not native_available(),
-    reason=f"native kernel unavailable: {native_build_error()}",
-)
-
-#: every concrete kernel (auto exercised separately), native gated
+#: every accepted kernel kind, native gated on the toolchain
 ALL_KERNELS = [
-    "hash",
-    "dense",
-    "esc",
-    "merge",
-    pytest.param("native", marks=needs_native),
+    pytest.param(kind, marks=needs_native) if kind == "native" else kind
+    for kind in KERNEL_KINDS
 ]
 
-#: the expansion-order summation family: mutually bit-identical on floats
-EXACT_KERNELS = [
-    "hash",
-    "dense",
-    "esc",
-    "auto",
-    pytest.param("native", marks=needs_native),
-]
+
+@pytest.fixture
+def no_native(monkeypatch):
+    """A host without a C toolchain, as ``auto`` and ``plan_groups`` see it."""
+    monkeypatch.setattr(K, "native_available", lambda: False)
 
 
 def _with_integer_values(m: CSRMatrix) -> CSRMatrix:
@@ -77,8 +66,8 @@ def _empty_rows_matrix() -> CSRMatrix:
 
 
 def _dense_rows_matrix() -> CSRMatrix:
-    """A few fully dense rows on top of a sparse background: forces the
-    dense-row bucket and the widest possible accumulator rows."""
+    """A few fully dense rows on top of a sparse background: the widest
+    possible accumulator rows."""
     m = random_csr(30, 30, 90, seed=102)
     dense = m.to_dense()
     dense[3, :] = 1.25
@@ -116,16 +105,16 @@ def _ab(request):
 
 
 class TestGoldenVsScipy:
-    @pytest.mark.parametrize("kernel", ALL_KERNELS + ["auto"])
+    @pytest.mark.parametrize("kernel", ALL_KERNELS)
     def test_matches_scipy(self, ab, kernel):
         a, b = ab
         r = spgemm_twophase(a, b, kernel=kernel)
         assert_equals_scipy_product(r.matrix, a, b)
 
-    @pytest.mark.parametrize("kernel", ALL_KERNELS + ["auto"])
+    @pytest.mark.parametrize("kernel", ALL_KERNELS)
     def test_integer_data_bit_identical_to_scipy(self, ab, kernel):
         """On integer-valued data float addition is exact, so every
-        kernel — merge included — must match scipy *bitwise*."""
+        kernel must match scipy *bitwise*."""
         from repro.sparse.ops import drop_explicit_zeros
         from repro.spgemm.reference import spgemm_scipy
 
@@ -140,59 +129,46 @@ class TestGoldenVsScipy:
         np.testing.assert_array_equal(got.data, expected.data)
 
 
+def _assert_bitwise(ref: CSRMatrix, got: CSRMatrix, msg: str) -> None:
+    np.testing.assert_array_equal(ref.row_offsets, got.row_offsets,
+                                  err_msg=msg)
+    np.testing.assert_array_equal(ref.col_ids, got.col_ids, err_msg=msg)
+    np.testing.assert_array_equal(ref.data, got.data, err_msg=msg)
+
+
 class TestCrossKernelBitIdentity:
     def test_exact_family_bit_identical_on_floats(self, ab):
-        """hash / dense / esc / native / auto share expansion-order
-        summation: byte-identical products for arbitrary floats."""
+        """esc / native / auto share expansion-order summation:
+        byte-identical products for arbitrary floats."""
         a, b = ab
-        ref = spgemm_twophase(a, b, kernel="hash").matrix
-        kinds = ["dense", "esc", "auto"]
-        if native_available():
-            kinds.append("native")
+        ref = spgemm_twophase(a, b, kernel="esc").matrix
+        kinds = [k for k in KERNEL_KINDS if k != "native" or native_available()]
         for kind in kinds:
-            got = spgemm_twophase(a, b, kernel=kind).matrix
-            np.testing.assert_array_equal(ref.row_offsets, got.row_offsets,
-                                          err_msg=kind)
-            np.testing.assert_array_equal(ref.col_ids, got.col_ids,
-                                          err_msg=kind)
-            np.testing.assert_array_equal(ref.data, got.data, err_msg=kind)
+            _assert_bitwise(ref, spgemm_twophase(a, b, kernel=kind).matrix,
+                            kind)
 
-    def test_merge_allclose_on_floats(self, ab):
+    def test_auto_without_native_runs_esc(self, ab, no_native):
         a, b = ab
-        ref = spgemm_twophase(a, b, kernel="hash").matrix
-        got = spgemm_twophase(a, b, kernel="merge").matrix
-        np.testing.assert_array_equal(ref.row_offsets, got.row_offsets)
-        np.testing.assert_array_equal(ref.col_ids, got.col_ids)
-        np.testing.assert_allclose(ref.data, got.data,
-                                   rtol=1e-10, atol=1e-12)
-
-    def test_merge_bit_identical_on_integers(self, ab):
-        a, b = ab
-        a, b = _with_integer_values(a), _with_integer_values(b)
-        ref = spgemm_twophase(a, b, kernel="hash").matrix
-        got = spgemm_twophase(a, b, kernel="merge").matrix
-        np.testing.assert_array_equal(ref.data, got.data)
+        ref = spgemm_twophase(a, b, kernel="esc").matrix
+        r = spgemm_twophase(a, b, kernel="auto")
+        assert r.stats.kernel == "esc"
+        _assert_bitwise(ref, r.matrix, "auto")
 
 
 class TestKernelSpec:
     def test_defaults(self):
-        spec = KernelSpec()
-        assert spec.kind == "auto"
-        assert spec.dense_threshold > 0
+        assert KernelSpec().kind == "auto"
 
     @pytest.mark.parametrize("kind", list(KERNEL_KINDS))
     def test_encode_parse_roundtrip(self, kind):
-        spec = KernelSpec(kind=kind, dense_threshold=0.125)
+        spec = KernelSpec(kind=kind)
+        assert spec.encode() == kind
         assert KernelSpec.parse(spec.encode()) == spec
-
-    def test_encode_default_threshold_is_bare_kind(self):
-        assert KernelSpec(kind="esc").encode() == "esc"
-        assert KernelSpec.parse("esc") == KernelSpec(kind="esc")
 
     def test_resolve(self):
         assert resolve_kernel(None) == KernelSpec()
-        assert resolve_kernel("merge") == KernelSpec(kind="merge")
-        spec = KernelSpec(kind="hash", dense_threshold=0.25)
+        assert resolve_kernel("esc") == KernelSpec(kind="esc")
+        spec = KernelSpec(kind="native")
         assert resolve_kernel(spec) is spec
         assert resolve_kernel(spec.encode()) == spec
 
@@ -200,7 +176,23 @@ class TestKernelSpec:
         with pytest.raises(ValueError):
             KernelSpec(kind="gpu")
         with pytest.raises(ValueError):
-            KernelSpec.parse("hash@nope")
+            KernelSpec.parse("esc@nope")
+
+    @pytest.mark.parametrize("text", ["hash", "dense", "merge", "hash@0.25"])
+    def test_parse_rejects_deleted_kinds(self, text):
+        with pytest.raises(ValueError, match=r"'auto', 'esc', 'native'"):
+            KernelSpec.parse(text)
+
+    def test_auto_resolves_to_esc_without_native(self, no_native):
+        assert KernelSpec("auto").resolved() == KernelSpec("esc")
+        assert resolved_wire("auto") == "esc"
+        assert resolved_wire() == "esc"
+        assert KernelSpec("esc").resolved() == KernelSpec("esc")
+
+    @needs_native
+    def test_auto_resolves_to_native(self):
+        assert KernelSpec("auto").resolved() == KernelSpec("native")
+        assert resolved_wire() == "native"
 
     def test_stats_record_kernel(self):
         a = rmat(6, 4.0, seed=5)
@@ -211,79 +203,55 @@ class TestKernelSpec:
 
 
 class TestPlanGroups:
-    def _work(self, n=20, width=64):
+    def _work(self, n=20):
         rng = np.random.default_rng(9)
-        return rng.integers(0, 40, size=n).astype(np.int64), width
+        return rng.integers(0, 40, size=n).astype(np.int64)
 
     def test_single_group_methods(self):
-        work, width = self._work()
-        for kind in ("esc", "merge"):
-            g = plan_groups(work, width, KernelSpec(kind=kind))
-            methods = {grp.method for grp in g.groups}
-            assert methods <= {kind}
-            covered = np.concatenate([grp.rows for grp in g.groups])
-            np.testing.assert_array_equal(
-                np.sort(covered), np.flatnonzero(work > 0))
+        work = self._work()
+        kinds = [k for k in KERNEL_KINDS if k != "native" or native_available()]
+        for kind in kinds:
+            g = plan_groups(work, KernelSpec(kind=kind))
+            (grp,) = g.groups
+            assert grp.method == resolved_wire(kind)
+            np.testing.assert_array_equal(grp.rows, np.flatnonzero(work > 0))
+            assert g.num_kernels() == 1
 
-    def test_dense_kind_uses_dense_only(self):
-        work, width = self._work()
-        g = plan_groups(work, width, KernelSpec(kind="dense"))
-        assert {grp.method for grp in g.groups} == {"dense"}
-
-    def test_hash_kind_splits_by_threshold(self):
-        work = np.array([1, 1, 1000, 1000], dtype=np.int64)
-        g = plan_groups(work, 64, KernelSpec(kind="hash",
-                                             dense_threshold=0.5))
-        assert {grp.method for grp in g.groups} == {"hash", "dense"}
-
-    def test_fused_methods_are_fused(self):
-        assert FUSED_METHODS >= {"esc", "merge"}
-        assert "hash" not in FUSED_METHODS
-        assert "dense" not in FUSED_METHODS
+    def test_no_productive_rows_no_groups(self):
+        g = plan_groups(np.zeros(5, dtype=np.int64), KernelSpec(kind="esc"))
+        assert g.groups == () and g.num_kernels() == 0
+        np.testing.assert_array_equal(g.coverage(), np.full(5, -1))
 
     @needs_native
     def test_auto_prefers_native(self):
-        work, width = self._work()
-        g = plan_groups(work, width, KernelSpec(kind="auto"))
+        g = plan_groups(self._work(), KernelSpec(kind="auto"))
         assert {grp.method for grp in g.groups} == {"native"}
 
-    def test_native_unavailable_raises(self, monkeypatch):
-        from repro.spgemm import kernels as K
-
-        monkeypatch.setattr(K, "native_available", lambda: False)
-        work, width = self._work()
+    def test_native_unavailable_raises(self, no_native):
+        work = self._work()
         with pytest.raises(RuntimeError, match="native"):
-            plan_groups(work, width, KernelSpec(kind="native"))
-        # auto degrades to the numpy kernels instead of raising
-        g = plan_groups(work, width, KernelSpec(kind="auto"))
-        assert {grp.method for grp in g.groups} <= {"dense", "esc"}
+            plan_groups(work, KernelSpec(kind="native"))
+        # auto degrades to esc instead of raising
+        g = plan_groups(work, KernelSpec(kind="auto"))
+        assert {grp.method for grp in g.groups} == {"esc"}
 
 
 class TestEngineKernelEquivalence:
-    """The serial hash product is the golden answer; every backend x
-    kernel combination must reproduce it bitwise (merge included — the
-    engine runs whole row groups per chunk, so tree order is a function
-    of the chunking, which is identical across backends)."""
+    """The serial esc product is the golden answer; every backend x
+    kernel combination must reproduce it bitwise."""
 
     @pytest.fixture(scope="class")
     def setup(self):
         a = rmat(8, 6.0, seed=77)
         grid = ChunkGrid.regular(a.n_rows, a.n_cols, 2, 2)
         _, golden = execute_chunk_grid(a, a, grid, workers=1,
-                                       keep_outputs=True, kernel="hash")
+                                       keep_outputs=True, kernel="esc")
         return a, grid, golden
 
-    def _assert_matches(self, golden, out, *, exact=True):
+    def _assert_matches(self, golden, out):
         for rp, row in enumerate(golden):
             for cp, g in enumerate(row):
-                o = out[rp][cp]
-                np.testing.assert_array_equal(g.row_offsets, o.row_offsets)
-                np.testing.assert_array_equal(g.col_ids, o.col_ids)
-                if exact:
-                    np.testing.assert_array_equal(g.data, o.data)
-                else:
-                    np.testing.assert_allclose(g.data, o.data,
-                                               rtol=1e-10, atol=1e-12)
+                _assert_bitwise(g, out[rp][cp], f"chunk ({rp}, {cp})")
 
     @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
     @pytest.mark.parametrize("kernel", ALL_KERNELS)
@@ -294,10 +262,16 @@ class TestEngineKernelEquivalence:
             a, a, grid, workers=workers, backend=backend,
             keep_outputs=True, kernel=kernel,
         )
-        self._assert_matches(golden, out, exact=kernel != "merge")
-        assert all(c.kernel == kernel for c in profile.chunks)
+        self._assert_matches(golden, out)
+        # chunk stats carry the resolved wire form and one launch a stage
+        for c in profile.chunks:
+            assert c.kernel == resolved_wire(kernel)
+            if c.flops > 0:
+                assert c.symbolic_kernels == c.numeric_kernels == 1
 
-    @pytest.mark.parametrize("kernel", ["esc", "merge"])
+    @pytest.mark.parametrize("kernel", [
+        "esc", pytest.param("native", marks=needs_native),
+    ])
     def test_chaos_faults_with_retry(self, setup, kernel):
         """An injected numeric-stage fault on the first attempt of chunk
         1 must be retried away without changing any output bit."""
@@ -308,4 +282,4 @@ class TestEngineKernelEquivalence:
                                              base_delay=0.001),
             faults=FaultInjector.from_string("numeric:raise:chunk=1:times=1"),
         )
-        self._assert_matches(golden, out, exact=kernel != "merge")
+        self._assert_matches(golden, out)

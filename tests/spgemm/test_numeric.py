@@ -1,13 +1,32 @@
-"""Tests for the numeric phase."""
+"""Tests for the numeric phase: scatter of cached group results."""
 
 import numpy as np
 import pytest
 
 from repro.sparse.generators import random_csr
-from repro.spgemm.groups import group_rows
-from repro.spgemm.numeric import numeric_grouped, numeric_phase
+from repro.spgemm.accumulators import esc_accumulate_rows
+from repro.spgemm.groups import RowGroup, RowGrouping
+from repro.spgemm.numeric import numeric_grouped
 from repro.spgemm.symbolic import symbolic_row_nnz
 from tests.conftest import assert_equals_scipy_product
+
+
+def _grouping(a, groups):
+    return RowGrouping(
+        groups=tuple(RowGroup(rows=np.asarray(r, dtype=np.int64), method="esc")
+                     for r in groups),
+        n_rows=a.n_rows,
+    )
+
+
+def numeric_phase(a, b, row_nnz, groups=None):
+    """Numeric phase over ``groups`` (default: every row in one group),
+    each group's values computed by the ESC accumulator."""
+    if groups is None:
+        groups = [np.arange(a.n_rows)]
+    grouping = _grouping(a, groups)
+    results = [esc_accumulate_rows(a, b, g.rows) for g in grouping]
+    return numeric_grouped(a, b, row_nnz, grouping, results)
 
 
 class TestNumericPhase:
@@ -33,22 +52,20 @@ class TestNumericPhase:
         a = sample_matrix
         row_nnz = symbolic_row_nnz(a, a)
         default = numeric_phase(a, a, row_nnz)
-        # force everything through the dense path
-        all_dense = group_rows(row_nnz, a.n_cols, dense_threshold=0.0)
-        via_dense = numeric_grouped(a, a, row_nnz, all_dense)
-        assert default == via_dense
-
-    def test_all_hash_path(self, sample_matrix):
-        a = sample_matrix
-        row_nnz = symbolic_row_nnz(a, a)
-        all_hash = group_rows(row_nnz, a.n_cols, dense_threshold=2.0)
-        assert all(g.method == "hash" for g in all_hash)
-        via_hash = numeric_grouped(a, a, row_nnz, all_hash)
-        assert via_hash == numeric_phase(a, a, row_nnz)
+        # odd rows first, then even rows: each group lands in its slots
+        rows = np.arange(a.n_rows)
+        split = numeric_phase(a, a, row_nnz, groups=[rows[1::2], rows[::2]])
+        assert default == split
 
     def test_bad_counts_length(self, sample_matrix):
         with pytest.raises(ValueError, match="length"):
             numeric_phase(sample_matrix, sample_matrix, np.zeros(3, dtype=np.int64))
+
+    def test_results_must_align_with_groups(self, sample_matrix):
+        a = sample_matrix
+        grouping = _grouping(a, [np.arange(a.n_rows)])
+        with pytest.raises(ValueError, match="align"):
+            numeric_grouped(a, a, symbolic_row_nnz(a, a), grouping, [])
 
     def test_inconsistent_counts_detected(self, sample_matrix):
         a = sample_matrix

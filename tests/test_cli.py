@@ -298,25 +298,34 @@ class TestKernelBench:
                                                       capsys):
         import json
 
+        from repro.spgemm.native import native_available
+
         out = tmp_path / "kernels.json"
         assert main(["kernel-bench", "--matrices", tiny, "--repeats", "1",
-                     "--kernels", "hash,esc,merge",
                      "--out", str(out)]) == 0
         payload = json.loads(out.read_text())
         assert payload["bench"] == "kernel_shootout"
+        assert payload["reference_kernel"] == "esc"
         (run,) = payload["runs"]
-        assert set(run["kernels"]) == {"hash", "esc", "merge"}
-        for kind, rec in run["kernels"].items():
+        expected = {"esc", "native"} if native_available() else {"esc"}
+        assert set(run["kernels"]) == expected
+        for rec in run["kernels"].values():
             assert rec["equivalent"] is True
+            assert rec["scipy_allclose"] is True
             assert rec["min_seconds"] > 0
-            expected = "allclose" if kind == "merge" else "bit_identical"
-            assert rec["equivalence_policy"] == expected
+            assert rec["equivalence_policy"] == "bit_identical"
         assert "wrote" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("kind", ["hash", "dense", "merge"])
+    def test_kernel_flag_rejects_deleted_kinds(self, tiny, kind, capsys):
+        with pytest.raises(SystemExit):
+            main(["multiply", tiny, "--kernel", kind])
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_rejects_unknown_kernel(self, tiny, tmp_path):
         with pytest.raises(SystemExit, match="unknown kernel"):
             main(["kernel-bench", "--matrices", tiny,
-                  "--kernels", "hash,warp", "--out",
+                  "--kernels", "esc,hash", "--out",
                   str(tmp_path / "k.json")])
 
 
